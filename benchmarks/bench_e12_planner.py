@@ -26,7 +26,7 @@ from repro.planner import (
     get_workload,
     hand_schedule_cost,
 )
-from repro.planner.workloads import _plan_workload
+from repro.planner.workloads import plan_workload
 
 MODELS = (IPSC860, PARAGON, MODERN_CLUSTER)
 WORKLOADS = ("adi", "pic", "smoothing")
@@ -38,7 +38,7 @@ def test_e12_planner_vs_static_vs_hand():
         for cm in MODELS:
             wl = get_workload(name, cost_model=cm)
             engine = CostEngine(wl.machine)
-            plan = _plan_workload(wl, cost_engine=engine)
+            plan = plan_workload(wl, cost_engine=engine)
             best_static = min(plan.static.values())
             hand = hand_schedule_cost(wl, cost_engine=engine)
             rows.append(
@@ -69,7 +69,7 @@ def test_e12_adi_recovers_figure1_on_every_preset():
     rows = []
     for cm in MODELS:
         wl = get_workload("adi", cost_model=cm)
-        plan = _plan_workload(wl)
+        plan = plan_workload(wl)
         schedule = [s.dist.dtype for s in plan.steps]
         want = [
             dist_type(":", "BLOCK"),
@@ -117,6 +117,6 @@ def test_e12_planner_benchmark(benchmark, name):
     wl = get_workload(name)
 
     def run():
-        return _plan_workload(wl, cost_engine=CostEngine(wl.machine))
+        return plan_workload(wl, cost_engine=CostEngine(wl.machine))
 
     benchmark(run)

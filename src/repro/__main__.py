@@ -258,7 +258,7 @@ def calibrate_command(args: argparse.Namespace) -> None:
     from .backend.calibrate import calibrate
     from .machine import MeasuredMachine, ProcessorArray
     from .planner import CostEngine, adi_workload
-    from .planner.workloads import _plan_workload
+    from .planner.workloads import plan_workload
 
     if not args.json:
         print(
@@ -268,7 +268,7 @@ def calibrate_command(args: argparse.Namespace) -> None:
     cal = calibrate(nprocs=args.nprocs, repeats=args.repeats)
     machine = MeasuredMachine(ProcessorArray("M", (args.nprocs,)), cal)
     workload = adi_workload(32, 32, iterations=2, machine=machine)
-    plan = _plan_workload(workload, cost_engine=CostEngine(machine))
+    plan = plan_workload(workload, cost_engine=CostEngine(machine))
 
     if args.json:
         print(json.dumps(

@@ -378,7 +378,7 @@ def _pic_offline_schedule(
     """
     from ..core.dimdist import GenBlock
     from ..planner.costs import CostEngine
-    from ..planner.workloads import _plan_workload, pic_workload
+    from ..planner.workloads import pic_workload, plan_workload
 
     ncell, nprocs_ = int(params["ncell"]), int(nprocs)
     workload = pic_workload(
@@ -394,7 +394,7 @@ def _pic_offline_schedule(
         cost_model=cost_model,
         seed=seed,
     )
-    plan = _plan_workload(workload, cost_engine=CostEngine(workload.machine))
+    plan = plan_workload(workload, cost_engine=CostEngine(workload.machine))
     schedule: list[list[int]] = []
     for step in plan.steps:
         dd = step.dist.dtype.dims[0]
@@ -440,7 +440,7 @@ def _drive_pic(
     particle_bytes = int(params["particle_bytes"])
 
     machine = Machine(ProcessorArray("P", (nprocs,)), cost_model=cost_model)
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     machine.reset_network()
     nfield = 4
     fld = engine.declare(
@@ -555,11 +555,7 @@ def _drive_pic(
                     flops_per_unit=flops_per_particle,
                 )
                 horizon = min(window, steps - k)
-                gain = (
-                    cost_engine.load_cost(load, fld.dist)
-                    - cost_engine.load_cost(load, cand)
-                ) * horizon
-                return gain - cost_engine.transition_cost(fld.dist, cand)
+                return cost_engine.rebalance_net(load, fld.dist, cand, horizon)
 
             sizes = loop.boundary(
                 step=k,
@@ -640,7 +636,7 @@ def _drive_irregular(
     flops_per_node = float(params["flops_per_node"])
 
     machine = Machine(ProcessorArray("P", (nprocs,)), cost_model=cost_model)
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     machine.reset_network()
 
     rng = np.random.default_rng(seed)
@@ -745,11 +741,7 @@ def _drive_irregular(
                     flops_per_unit=flops_per_node,
                 )
                 horizon = min(window, sweeps - k)
-                gain = (
-                    cost_engine.load_cost(load, arr.dist)
-                    - cost_engine.load_cost(load, cand)
-                ) * horizon
-                return gain - cost_engine.transition_cost(arr.dist, cand)
+                return cost_engine.rebalance_net(load, arr.dist, cand, horizon)
 
             sizes = loop.boundary(
                 step=k,

@@ -208,7 +208,7 @@ class WorkloadHandle:
         ``"greedy"``.
         """
         from ..planner.costs import CostEngine, SimulatedCostEngine
-        from ..planner.workloads import _plan_workload, hand_schedule_cost
+        from ..planner.workloads import hand_schedule_cost, plan_workload
 
         ctx = self._context(with_machine=False)
         workload = self._spec.planning_problem(ctx)
@@ -222,7 +222,7 @@ class WorkloadHandle:
             raise ValueError(
                 f"cost_mode must be 'model' or 'simulated', got {cost_mode!r}"
             )
-        plan = _plan_workload(workload, cost_engine=engine, method=method)
+        plan = plan_workload(workload, cost_engine=engine, method=method)
         hand = hand_schedule_cost(workload, cost_engine=engine)
         return PlanResult(
             workload=self.name,

@@ -1,8 +1,7 @@
 """The paper's §4 workloads, registered with the session facade.
 
-Each registration wraps the application's ``execute_*`` implementation
-(the non-deprecated core the legacy ``run_*`` shims also call), so the
-``Session`` path is bitwise-identical to the legacy path by
+Each registration wraps the application's ``execute_*`` implementation,
+so the ``Session`` path is bitwise-identical to calling it directly by
 construction.  Parameter names and defaults mirror the historical CLI:
 
 ========== ===============================================================

@@ -305,7 +305,7 @@ def _relax(
 ) -> RelaxationResult:
     n = graph.number_of_nodes()
     p = machine.nprocs
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     if distribution == "block":
         dd = Block()
         owner_vec = dd.owners_vec(n, p)

@@ -30,7 +30,7 @@ at each checkpoint it redistributes exactly when the modeled compute
 time saved over the next ``rebalance_every`` steps exceeds the modeled
 cost of the transfer — the cost-driven version of ``rebalance()``.
 
-:func:`run_pic` records, per step, the load imbalance, the messages
+:func:`execute_pic` records, per step, the load imbalance, the messages
 spent on particle motion, field work time, and redistribution cost —
 the trajectories experiment E3 plots against the static-BLOCK
 baseline.
@@ -54,7 +54,6 @@ __all__ = [
     "PICConfig",
     "StepRecord",
     "PICResult",
-    "run_pic",
     "execute_pic",
     "initpos",
     "reflected_position",
@@ -140,8 +139,8 @@ def reflected_position(start: np.ndarray, displacement: float) -> np.ndarray:
 
     The distribution planner uses it to model the cluster's trajectory
     without simulating.  For pure drift (no diffusion) it matches
-    :func:`run_pic`'s per-step bookkeeping exactly through the first
-    (top) wall bounce; past that the two diverge — ``run_pic``'s
+    :func:`execute_pic`'s per-step bookkeeping exactly through the first
+    (top) wall bounce; past that the two diverge — ``execute_pic``'s
     bottom wall reflects position without negating velocity, so its
     particles linger at the wall, while this models ideal reflection."""
     folded = np.mod(np.asarray(start, dtype=float) + displacement, 2.0)
@@ -153,33 +152,6 @@ def _field_dist(sizes: list[int] | None, ncell: int, nprocs: int) -> Distributio
     if sizes is None:
         return DistributionType((Block(), NoDist()))
     return DistributionType((GenBlock(sizes), NoDist()))
-
-
-def run_pic(
-    machine: Machine,
-    config: PICConfig,
-    rng: np.random.Generator | None = None,
-    backend: Backend | str | None = None,
-) -> PICResult:
-    """Deprecated free-function spelling of the PIC workload.
-
-    Use the session facade instead::
-
-        with repro.session(nprocs=4) as sess:
-            result = sess.workload("pic", size=128, steps=50).run()
-
-    (:func:`execute_pic` is the implementation; results are
-    bitwise-identical.)
-    """
-    import warnings
-
-    warnings.warn(
-        "run_pic() is deprecated; use repro.session(...) and "
-        "Session.workload('pic', ...).run() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_pic(machine, config, rng=rng, backend=backend)
 
 
 def execute_pic(
@@ -213,7 +185,7 @@ def execute_pic(
 def _run_pic(
     machine: Machine, config: PICConfig, rng: np.random.Generator
 ) -> PICResult:
-    engine = Engine._create(machine)
+    engine = Engine(machine)
     machine.reset_network()
 
     ncell, nprocs = config.ncell, config.nprocs
@@ -329,13 +301,9 @@ def _run_pic(
                 # the saving only accrues over steps that will actually
                 # run — a checkpoint near max_time has a short horizon
                 horizon = min(config.rebalance_every, config.max_time - k)
-                gain = (
-                    cost_engine.load_cost(load, fld.dist)
-                    - cost_engine.load_cost(load, cand)
-                ) * horizon
-                worthwhile = horizon > 0 and gain > cost_engine.transition_cost(
-                    fld.dist, cand
-                )
+                worthwhile = horizon > 0 and cost_engine.rebalance_net(
+                    load, fld.dist, cand, horizon
+                ) > 0
         if worthwhile:
             r0 = machine.stats()
             engine.distribute("FIELD", _field_dist(bounds, ncell, nprocs))

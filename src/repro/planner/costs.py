@@ -186,6 +186,21 @@ class CostEngine:
         self._trans_memo[key] = time
         return time
 
+    def rebalance_net(
+        self,
+        load: ArrayLoad,
+        current: Distribution,
+        candidate: Distribution,
+        horizon: int,
+    ) -> float:
+        """Modeled net saving of redistributing from ``current`` to
+        ``candidate``: the bottleneck compute saved over ``horizon``
+        steps minus the transfer.  Positive means the move pays."""
+        gain = (
+            self.load_cost(load, current) - self.load_cost(load, candidate)
+        ) * horizon
+        return gain - self.transition_cost(current, candidate)
+
     def comm_compute_split(
         self, phase: Phase, array: str, dist: Distribution
     ) -> tuple[float, float]:

@@ -73,35 +73,6 @@ def plan_workload(
     method: str = "auto",
     cost_mode: str = "model",
 ) -> Plan:
-    """Deprecated free-function spelling of the schedule search.
-
-    Use the session facade instead::
-
-        with repro.session(nprocs=4) as sess:
-            plan = sess.workload("adi", size=64).plan()
-
-    (:func:`_plan_workload` is the implementation; results are
-    bitwise-identical.)
-    """
-    import warnings
-
-    warnings.warn(
-        "plan_workload() is deprecated; use repro.session(...) and "
-        "Session.workload(name).plan(...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _plan_workload(
-        workload, cost_engine=cost_engine, method=method, cost_mode=cost_mode
-    )
-
-
-def _plan_workload(
-    workload: Workload,
-    cost_engine: CostEngine | None = None,
-    method: str = "auto",
-    cost_mode: str = "model",
-) -> Plan:
     """Run the schedule search on a workload.
 
     ``cost_mode`` selects the pricing semantics when no explicit

@@ -1,10 +1,11 @@
-"""Session-path results are bitwise-identical to the legacy paths.
+"""Session-path results are bitwise-identical to the direct paths.
 
 The acceptance bar of the API redesign: for every registered workload,
-``Session`` runs reproduce the legacy free-function results exactly —
-solutions, per-processor clocks, recorded event logs — and
-``handle.plan()`` reproduces the legacy planner CLI path's schedules.
-Property-tested over sizes and seeds.
+``Session`` runs reproduce the ``execute_*`` free-function results
+exactly — solutions, per-processor clocks, recorded event logs — and
+``handle.plan()`` reproduces :func:`plan_workload`'s schedules, while a
+bare ``Engine(machine)`` matches ``Session.engine()``.  Property-tested
+over sizes and seeds.
 """
 
 import warnings
@@ -125,11 +126,9 @@ def test_plan_identical_to_legacy(name, seed):
     ).plan()
 
     legacy_workload = get_workload(name, **legacy_kwargs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy_plan = plan_workload(
-            legacy_workload, cost_engine=CostEngine(legacy_workload.machine)
-        )
+    legacy_plan = plan_workload(
+        legacy_workload, cost_engine=CostEngine(legacy_workload.machine)
+    )
     assert result.plan.layouts() == legacy_plan.layouts()
     assert result.plan.total_cost == legacy_plan.total_cost
     assert result.plan.to_dict() == legacy_plan.to_dict()
@@ -139,3 +138,87 @@ def test_plan_identical_to_legacy(name, seed):
 def test_trace_blocking_matches_aggregate(name):
     t = session(nprocs=NPROCS).workload(name, size=16, **PARAMS[name]).trace()
     assert t.matches_aggregate is True
+
+
+def test_execute_adi_matches_session():
+    from repro.apps.adi import execute_adi
+
+    machine = Machine(ProcessorArray("R", (4,)), cost_model=PARAGON)
+    direct = execute_adi(machine, 12, 12, 1, "dynamic", seed=0)
+    r = session(nprocs=4).workload("adi", size=12, iterations=1).run()
+    assert np.array_equal(direct.solution, r.solution)
+    assert tuple(machine.network.clocks) == r.clocks
+    assert direct.total_time == r.result.total_time
+
+
+def test_execute_pic_matches_session():
+    from repro.apps.pic import PICConfig, execute_pic
+
+    machine = Machine(ProcessorArray("P", (4,)), cost_model=PARAGON)
+    cfg = PICConfig(strategy="bblock", ncell=12, npart=96, max_time=3,
+                    nprocs=4, seed=0)
+    direct = execute_pic(machine, cfg)
+    r = session(nprocs=4).workload("pic", size=12, steps=3).run()
+    assert np.array_equal(
+        np.array([s.imbalance for s in direct.steps]), r.solution
+    )
+    assert tuple(machine.network.clocks) == r.clocks
+
+
+def test_execute_smoothing_matches_session():
+    from repro.apps.smoothing import execute_smoothing
+
+    direct = execute_smoothing(12, 3, "columns", 4, PARAGON, seed=0)
+    r = session(nprocs=4).workload("smoothing", size=12, steps=3).run()
+    assert np.array_equal(direct.solution, r.solution)
+    assert direct.messages == r.result.messages
+    assert direct.time == r.result.time
+
+
+def test_plan_workload_matches_session():
+    from repro.planner import CostEngine, adi_workload, plan_workload
+
+    workload = adi_workload(12, 12, iterations=2, nprocs=4,
+                            cost_model=PARAGON)
+    direct = plan_workload(workload, cost_engine=CostEngine(workload.machine))
+    p = session(nprocs=4).workload("adi", size=12, iterations=2).plan()
+    assert direct.to_dict() == p.plan.to_dict()
+    assert direct.layouts() == p.plan.layouts()
+
+
+def test_engine_matches_session_engine():
+    from repro.core.distribution import dist_type
+    from repro.runtime.engine import Engine
+
+    machine = Machine(ProcessorArray("R", (4,)), cost_model=PARAGON)
+    direct_vfe = Engine(machine)
+    v1 = direct_vfe.declare("V", (12, 12), dist=dist_type(":", "BLOCK"),
+                            dynamic=True)
+    v1.from_global(np.arange(144.0).reshape(12, 12))
+    direct_reports = direct_vfe.distribute("V", dist_type("BLOCK", ":"))
+
+    with session(nprocs=4) as sess:
+        vfe = sess.engine(name="R")
+        v2 = vfe.declare("V", (12, 12), dist=dist_type(":", "BLOCK"),
+                         dynamic=True)
+        v2.from_global(np.arange(144.0).reshape(12, 12))
+        reports = vfe.distribute("V", dist_type("BLOCK", ":"))
+
+    assert np.array_equal(v1.to_global(), v2.to_global())
+    assert [(r.messages, r.bytes) for r in direct_reports] == [
+        (r.messages, r.bytes) for r in reports
+    ]
+    assert tuple(machine.network.clocks) == tuple(
+        vfe.machine.network.clocks
+    )
+
+
+def test_internal_code_emits_no_deprecation_warnings():
+    """The facade's stages emit no DeprecationWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        session(nprocs=4).workload("adi", size=12, iterations=1).run()
+        session(nprocs=4).workload("pic", size=12, steps=2).run()
+        session(nprocs=4).workload("smoothing", size=12, steps=2).run()
+        session(nprocs=4).workload("adi", size=12, iterations=1).plan()
+        session(nprocs=4).workload("adi", size=12, iterations=1).trace()

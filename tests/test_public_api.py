@@ -266,3 +266,12 @@ def test_apps_optional_networkx_flag():
     # this environment has networkx, so the mesh workload is exported
     assert apps._HAVE_NETWORKX
     assert hasattr(apps, "run_relaxation")
+
+
+def test_apps_export_one_name_per_workload_driver():
+    import repro.apps as apps
+
+    for name in ("execute_adi", "execute_pic", "execute_smoothing"):
+        assert name in apps.__all__
+    for name in ("run_adi", "run_pic", "run_smoothing"):
+        assert not hasattr(apps, name)
