@@ -658,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bench and single-run seed")
     a.add_argument("--workload", choices=workload_names, default=None,
                    help="run one adaptive session stage instead of the "
-                        "bench (pic and irregular have drivers)")
+                        "bench")
     a.add_argument("--mode", default="adaptive",
                    choices=("static", "balanced", "offline", "adaptive"),
                    help="layout policy for the single run")

@@ -28,9 +28,9 @@ Note the one thing the monitor deliberately does *not* read: the
 network's post-barrier clocks.  ``Network.synchronize()`` equalizes
 all per-rank clocks, so end-of-step clock deltas carry no imbalance
 information — callers must account per-rank busy *within* the window
-(the adaptive drivers measure each rank's clock advance across its
-compute call), exactly what the ``Timeline`` interval history records
-for simulated runs.
+(the controller's driver measures each rank's clock advance across its
+compute call, before the workload model's barrier), exactly what the
+``Timeline`` interval history records for simulated runs.
 """
 
 from __future__ import annotations

@@ -287,10 +287,10 @@ class PolicyLibrary:
 
         Runs a small probe of every supported workload under each cost
         model and drift scenario and records the highest tier that
-        fired (tier 0 when the run never redistributed).  Workloads the
-        adaptive controller has no driver for are reported as
-        unsupported rather than silently skipped — the report covers
-        the *whole* registry by construction.
+        fired (tier 0 when the run never redistributed).  Workloads
+        without an ``@spec.adaptive`` hook are reported as unsupported
+        rather than silently skipped — the report covers the *whole*
+        registry by construction.
         """
         from ..api.registry import REGISTRY
         from ..machine.cost_model import PRESETS

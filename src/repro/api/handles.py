@@ -329,42 +329,6 @@ class WorkloadHandle:
             headline=dict(outcome.headline),
         )
 
-    def _adapt_driver_config(self, window: int | None) -> tuple[dict, int]:
-        """Map this handle's registry params onto the adaptive
-        driver's parameter names; returns ``(params, window)``.
-
-        The window defaults to the workload's natural phase length:
-        PIC's ``rebalance_every`` (Figure 2's every-10th-iteration
-        checkpoint), or a quarter of the sweep count for the
-        irregular relaxation.
-        """
-        p = self.params
-        steps = int(p["steps"])
-        if self.name == "pic":
-            size = int(p["size"])
-            driver = {
-                "ncell": size,
-                "npart": int(p["npart"]) if p["npart"] is not None else 8 * size,
-                "steps": steps,
-            }
-            for src, dst in (("drift", "drift"), ("diffusion", "diffusion"),
-                             ("cluster_width", "cluster_width")):
-                if p.get(src) is not None:
-                    driver[dst] = float(p[src])
-            if window is None:
-                window = int(p["rebalance_every"] or 10)
-        else:  # irregular (the only other supported driver)
-            driver = {
-                "n": int(p["size"]),
-                "sweeps": steps,
-                "kind": str(p["kind"]),
-                "drift": float(p["drift"]),
-            }
-            if window is None:
-                window = max(1, steps // 4)
-        window = min(int(window), steps)
-        return driver, window
-
     @_staged("adapt")
     def adapt(self, mode: str = "adaptive", window: int | None = None):
         """Drive the workload under the online adaptive controller.
@@ -372,25 +336,19 @@ class WorkloadHandle:
         ``mode`` selects the layout policy (``"adaptive"`` — the
         feedback loop — or the ``"static"`` / ``"balanced"`` /
         ``"offline"`` baselines); ``window`` the monitoring window in
-        steps (default: the workload's natural phase length).  Only
-        workloads with an adaptive driver support this stage; others
-        raise ``ValueError``.
+        steps (default: the workload's natural phase length, bounded by
+        ``steps``).  The ``@spec.adaptive`` hook maps this handle's
+        params onto the controller's; workloads without one raise
+        ``ValueError``.
         """
-        from ..adapt.controller import (
-            MODES,
-            AdaptiveController,
-            supported_workloads,
-        )
+        from ..adapt.controller import AdaptiveController, adaptive_spec
         from .results import AdaptResult
 
-        if self.name not in supported_workloads():
-            raise ValueError(
-                f"workload {self.name!r} has no adaptive driver "
-                f"(supported: {list(supported_workloads())})"
-            )
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-        driver_params, window = self._adapt_driver_config(window)
+        hook = adaptive_spec(self.name).adaptive_hook
+        driver_params, natural = hook.session(self.params)
+        if window is None:
+            window = natural
+        window = min(int(window), int(self.params["steps"]))
         controller = AdaptiveController(
             self.name,
             nprocs=self._session.config.nprocs,

@@ -9,6 +9,9 @@ lists.  A :class:`WorkloadSpec` packages what a workload needs —
 - an optional **machine factory** (the default is a 1-D processor
   array of ``ctx.nprocs``);
 - an optional **planning problem** factory for ``handle.plan()``;
+- an optional **adaptive model** factory (``@spec.adaptive``) that lets
+  :class:`~repro.adapt.AdaptiveController` and ``handle.adapt()`` drive
+  the workload under controller-owned layouts;
 
 and :func:`register_workload` wires it into the global registry the
 :class:`~repro.api.Session`, the CLI, and the tests all enumerate.
@@ -20,6 +23,18 @@ Adding a scenario is one decorator::
     def mywork(ctx):
         ...  # build arrays on ctx.machine, run, measure
         return ExecutionOutcome(solution=values, headline={"steps": ...})
+
+Making it adaptive is one more: the controller's parameter defaults, a
+small probe, the session-param mapping, and a model built from ``ctx``
+for each run (:mod:`repro.adapt.controller` lists what a model has)::
+
+    @mywork.adaptive(
+        defaults={"n": 96, "steps": 40, "window": 5},
+        probe={"n": 24, "steps": 8, "window": 4},
+        session=lambda p: ({"n": p["size"], "steps": p["steps"]}, 5),
+    )
+    class MyModel:
+        def __init__(self, ctx): ...
 """
 
 from __future__ import annotations
@@ -34,6 +49,7 @@ if TYPE_CHECKING:
     from ..machine.machine import Machine
 
 __all__ = [
+    "AdaptiveHook",
     "ExecutionOutcome",
     "WorkloadContext",
     "WorkloadSpec",
@@ -74,8 +90,28 @@ class WorkloadContext:
     machine: "Machine | None" = None
 
 
+@dataclass(frozen=True)
+class AdaptiveHook:
+    """What ``@spec.adaptive`` registers for the adaptive controller.
+
+    ``model(ctx)`` builds one run's model; ``ctx.params`` holds the
+    controller's parameters (``defaults`` overlaid with the caller's
+    overrides), and ``ctx.machine`` the machine the run charges.
+    ``probe`` overrides ``defaults`` for small coverage/smoke runs.
+    ``session(params)`` maps a session handle's resolved params onto
+    the controller's, returning ``(params, natural_window)``; the
+    handle bounds the window by its ``steps`` param.
+    """
+
+    model: Callable[[WorkloadContext], Any]
+    defaults: Mapping[str, Any]
+    probe: Mapping[str, Any]
+    session: Callable[[Mapping[str, Any]], tuple[dict, int]]
+
+
 class WorkloadSpec:
-    """One registered workload: runner + optional machine/planning hooks."""
+    """One registered workload: runner + optional machine/planning/
+    adaptive hooks."""
 
     def __init__(
         self,
@@ -90,6 +126,9 @@ class WorkloadSpec:
         self._runner = runner
         self._machine: Callable[[WorkloadContext], "Machine"] | None = None
         self._planning: Callable[[WorkloadContext], Any] | None = None
+        #: the ``@spec.adaptive`` registration, ``None`` when the
+        #: controller cannot drive this workload
+        self.adaptive_hook: AdaptiveHook | None = None
 
     # -- hook decorators ---------------------------------------------------
     def machine_factory(self, fn: Callable) -> Callable:
@@ -101,6 +140,23 @@ class WorkloadSpec:
         """Decorator: provide the planner problem for ``handle.plan()``."""
         self._planning = fn
         return fn
+
+    def adaptive(
+        self,
+        *,
+        defaults: Mapping[str, Any],
+        probe: Mapping[str, Any],
+        session: Callable[[Mapping[str, Any]], tuple[dict, int]],
+    ) -> Callable:
+        """Decorator: the adaptive model factory; see :class:`AdaptiveHook`."""
+
+        def deco(fn: Callable) -> Callable:
+            self.adaptive_hook = AdaptiveHook(
+                fn, dict(defaults), dict(probe), session
+            )
+            return fn
+
+        return deco
 
     # -- session-facing API --------------------------------------------------
     @property
@@ -150,6 +206,8 @@ class WorkloadSpec:
         bits = [f"defaults={self.defaults}"]
         if self.plannable:
             bits.append("plannable")
+        if self.adaptive_hook is not None:
+            bits.append("adaptive")
         return f"WorkloadSpec({self.name!r}, {', '.join(bits)})"
 
 
@@ -209,8 +267,8 @@ def register_workload(
     replace: bool = False,
 ) -> Callable[[Callable], WorkloadSpec]:
     """Register a workload runner; returns the :class:`WorkloadSpec`
-    (which carries the ``.machine_factory`` / ``.planning`` hook
-    decorators)."""
+    (which carries the ``.machine_factory`` / ``.planning`` /
+    ``.adaptive`` hook decorators)."""
 
     def deco(fn: Callable[[WorkloadContext], ExecutionOutcome]) -> WorkloadSpec:
         spec = WorkloadSpec(name, fn, defaults=defaults, description=description)

@@ -14,14 +14,18 @@ irregular  size=32 (nodes), steps=10, distribution="partitioned", kind=...
 ========== ===============================================================
 
 The decorated name is bound to the :class:`~repro.api.WorkloadSpec`,
-whose ``.machine_factory`` / ``.planning`` decorators attach the
-remaining hooks.
+whose ``.machine_factory`` / ``.planning`` / ``.adaptive`` decorators
+attach the remaining hooks.  ``pic`` and ``irregular`` register
+adaptive models (``apps.pic.AdaptivePIC``,
+``apps.irregular.AdaptiveRelaxation``) under the adaptive controller's
+own parameter names (``ncell``/``npart``/``steps``, ``n``/``sweeps``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..apps.pic import AdaptivePIC
 from ..machine.machine import Machine
 from ..machine.topology import ProcessorArray
 from .registry import ExecutionOutcome, WorkloadContext, register_workload
@@ -148,6 +152,27 @@ def _pic_planning(ctx: WorkloadContext):
     return pic_workload(**kwargs)
 
 
+def _pic_adapt_session(p) -> tuple[dict, int]:
+    """Session -> adaptive params; the natural window is Figure 2's
+    every-``rebalance_every``-th-step checkpoint."""
+    size = int(p["size"])
+    npart = 8 * size if p["npart"] is None else int(p["npart"])
+    mapped = {"ncell": size, "npart": npart, "steps": int(p["steps"])}
+    for key in ("drift", "diffusion", "cluster_width"):
+        if p[key] is not None:
+            mapped[key] = float(p[key])
+    return mapped, int(p["rebalance_every"] or 10)
+
+
+pic.adaptive(
+    defaults={"ncell": 96, "npart": 6000, "steps": 60, "window": 6,
+              "drift": 0.008, "diffusion": 0.01, "cluster_width": 0.06,
+              "flops_per_particle": 20.0, "particle_bytes": 32},
+    probe={"ncell": 32, "npart": 512, "steps": 12, "window": 4},
+    session=_pic_adapt_session,
+)(AdaptivePIC)
+
+
 # -- smoothing (§4 distribution choice) --------------------------------------
 
 
@@ -248,5 +273,22 @@ if _HAVE_NETWORKX:
             },
             result=r,
         )
+
+    def _irregular_adapt_session(p) -> tuple[dict, int]:
+        """Session -> adaptive params; the natural window is a quarter
+        of the sweeps."""
+        steps = int(p["steps"])
+        return {"n": int(p["size"]), "sweeps": steps, "kind": str(p["kind"]),
+                "drift": float(p["drift"])}, max(1, steps // 4)
+
+    irregular.adaptive(
+        # flops_per_node: a heavier-than-Jacobi kernel; at the
+        # relaxation's 4 flops/node cut traffic drowns any rebalancing
+        defaults={"n": 192, "sweeps": 48, "window": 6, "drift": 0.02,
+                  "kind": "geometric", "amp": 6.0, "width": 0.06,
+                  "value_bytes": 8, "flops_per_node": 2000.0},
+        probe={"n": 48, "sweeps": 12, "window": 4},
+        session=_irregular_adapt_session,
+    )(_irregular_app.AdaptiveRelaxation)
 
     __all__.append("irregular")

@@ -21,7 +21,11 @@ This module provides:
   naive BLOCK distribution of node ids or a partition-driven INDIRECT
   distribution;
 - :func:`edge_cut` — the analytic communication proxy (off-processor
-  edges).
+  edges);
+- :class:`AdaptiveRelaxation` — the model the ``irregular`` workload
+  registers for the adaptive controller: the same mesh and Jacobi
+  arithmetic under GenBlock node blocks and a drifting weighted kernel,
+  without the inspector/executor.
 
 Experiment E10 compares the two distributions: the measured per-sweep
 communication tracks the edge cut, and the partitioned INDIRECT
@@ -33,16 +37,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import networkx as nx
 import numpy as np
 
 from ..backend.base import Backend, attached_backend
-from ..core.dimdist import Block, Indirect
+from ..core.dimdist import Block, GenBlock, Indirect
 from ..core.distribution import DistributionType
 from ..defaults import DEFAULT_SEED
 from ..machine.machine import Machine
 from ..runtime.engine import Engine
+from .load_balance import block_sizes, exchange_pairs
+
+if TYPE_CHECKING:
+    from ..api.registry import WorkloadContext
 
 __all__ = [
     "make_mesh",
@@ -52,6 +61,7 @@ __all__ = [
     "run_relaxation",
     "relaxation_reference",
     "drifting_weights",
+    "AdaptiveRelaxation",
 ]
 
 
@@ -382,3 +392,80 @@ def _relax(
         time=machine.time - t0,
         solution=arr.to_global(),
     )
+
+
+class AdaptiveRelaxation:
+    """Jacobi relaxation on an unstructured mesh with a wandering compute
+    hot spot (:func:`drifting_weights`), under controller-owned layouts.
+
+    The ``irregular`` workload's ``@spec.adaptive`` model (the protocol
+    is in :mod:`repro.adapt.controller`).  Node ids are
+    GenBlock-distributed; a sweep charges ``flops_per_node`` times the
+    owned nodes' summed weight and ships the cut edges between owner
+    blocks.  Unlike :func:`run_relaxation` there is no
+    inspector/executor: the Jacobi update is one global vectorized step,
+    independent of ownership, so the solution is layout-invariant.
+    """
+
+    array = "V"
+    tag = "relax:V"
+
+    def __init__(self, ctx: "WorkloadContext"):
+        p = ctx.params
+        self.n, self.steps = int(p["n"]), int(p["sweeps"])
+        self.nprocs = ctx.nprocs
+        self.shape = (self.n,)
+        self.flops_per_unit = float(p["flops_per_node"])
+        self.drift, self.amp = float(p["drift"]), float(p["amp"])
+        self.width, self.value_bytes = float(p["width"]), int(p["value_bytes"])
+        rng = np.random.default_rng(ctx.seed)
+        graph = make_mesh(self.n, seed=ctx.seed, kind=str(p["kind"]), rng=rng)
+        self.state = rng.standard_normal(self.n)
+        self.edges = np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+        self.deg = np.bincount(
+            self.edges.ravel(), minlength=self.n
+        ).astype(np.float64)
+
+    def dist(self, sizes) -> DistributionType:
+        if sizes is None:
+            sizes = block_sizes(self.n, self.nprocs)
+        return DistributionType((GenBlock(sizes),))
+
+    def work(self, step: int) -> np.ndarray:
+        return drifting_weights(
+            self.n, step - 1, self.drift, amp=self.amp, width=self.width
+        )
+
+    def load(self, step: int) -> np.ndarray:
+        # the hot spot's path is run-time data: a boundary can only
+        # balance the sweep it just measured (step 0: the first sweep)
+        return self.work(max(step, 1))
+
+    def advance(self, network, owners: np.ndarray, step: int) -> None:
+        edges = self.edges
+        # cut edges: each crossing edge ships one value each way
+        eu, ev = owners[edges[:, 0]], owners[edges[:, 1]]
+        cross = eu != ev
+        if cross.any():
+            eu, ev = eu[cross], ev[cross]
+            exchange_pairs(
+                network, np.concatenate([eu, ev]), np.concatenate([ev, eu]),
+                self.value_bytes, "relax:gather",
+            )
+        network.synchronize()
+
+        # the global Jacobi update — ownership never enters
+        values = self.state
+        nbrsum = np.bincount(
+            edges[:, 0], weights=values[edges[:, 1]], minlength=self.n
+        ) + np.bincount(
+            edges[:, 1], weights=values[edges[:, 0]], minlength=self.n
+        )
+        self.state = np.where(
+            self.deg > 0,
+            0.5 * values + 0.5 * nbrsum / np.maximum(self.deg, 1.0),
+            values,
+        )
+
+    def offline_schedule(self) -> None:
+        return None  # the hot spot is invisible to an offline tool

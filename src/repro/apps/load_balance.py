@@ -15,14 +15,21 @@ problem.  We provide:
 - :func:`balance_optimal` — exact bottleneck minimization by binary
   search over the answer with a greedy feasibility check (used in
   tests as the oracle and available to users who can afford it);
-- :func:`imbalance` — the max/mean load ratio the PIC bench reports.
+- :func:`imbalance` — the max/mean load ratio the PIC bench reports;
+- :func:`block_sizes`, :func:`charge_owner_work`,
+  :func:`exchange_pairs` — the even start sizes, and owner-computes and
+  aggregated-message accounting for per-cell ownership (``owners[cell]``
+  is a rank).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["balance_greedy", "balance_optimal", "imbalance", "block_loads"]
+from ..core.dimdist import Block
+
+__all__ = ["balance_greedy", "balance_optimal", "imbalance", "block_loads",
+           "block_sizes", "charge_owner_work", "exchange_pairs"]
 
 
 def _validate(weights: np.ndarray, nprocs: int) -> np.ndarray:
@@ -146,3 +153,36 @@ def imbalance(weights: np.ndarray, sizes: list[int]) -> float:
     if mean == 0:
         return 1.0
     return float(loads.max() / mean)
+
+
+def block_sizes(n: int, nprocs: int) -> list[int]:
+    """Per-processor extents of ``BLOCK`` over ``n`` cells."""
+    owners = Block().owners_vec(n, nprocs)
+    return [int(c) for c in np.bincount(owners, minlength=nprocs)]
+
+
+def charge_owner_work(
+    network, owners, weights, flops_per_unit: float, tag: str
+) -> np.ndarray:
+    """Charge each rank ``flops_per_unit`` times its owned cells' summed
+    ``weights``; return each rank's busy seconds (its clock advance).
+    No barrier: adaptive runs read busy before clocks equalize."""
+    nprocs = network.nprocs
+    loads = np.bincount(owners, weights=weights, minlength=nprocs)
+    busy = np.zeros(nprocs)
+    clocks = network.clocks
+    for rank in range(nprocs):
+        c0 = clocks[rank]
+        network.compute(rank, flops_per_unit * float(loads[rank]), tag=tag)
+        busy[rank] = clocks[rank] - c0
+    return busy
+
+
+def exchange_pairs(network, src, dst, item_bytes: int, tag: str) -> None:
+    """Ship items from rank ``src[i]`` to ``dst[i]``: one aggregated
+    message per (source, destination) pair."""
+    nprocs = network.nprocs
+    cnt = np.bincount(src * nprocs + dst, minlength=nprocs * nprocs)
+    cnt = cnt.reshape(nprocs, nprocs)
+    network.exchange([(int(s), int(d), int(cnt[s, d]) * item_bytes, tag)
+                      for s, d in zip(*np.nonzero(cnt))])

@@ -24,6 +24,10 @@ The reproduction keeps Figure 2's structure:
   threshold, ``balance`` + redistribute (Figure 2's
   ``IF (MOD(k,10).EQ.0 .AND. rebalance())`` test).
 
+The step's pieces — :func:`cell_counts`, :func:`move_particles`,
+:func:`reassign` — are shared with :class:`AdaptivePIC`, the model the
+adaptive controller drives.
+
 The ``"planned"`` strategy replaces the fixed imbalance threshold with
 the distribution planner's cost engine (:mod:`repro.planner.costs`):
 at each checkpoint it redistributes exactly when the modeled compute
@@ -39,6 +43,7 @@ baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,16 +53,34 @@ from ..core.distribution import DistributionType
 from ..defaults import DEFAULT_SEED
 from ..machine.machine import Machine
 from ..runtime.engine import Engine
-from .load_balance import balance_greedy
+from .load_balance import (
+    balance_greedy,
+    block_sizes,
+    charge_owner_work,
+    exchange_pairs,
+)
+
+if TYPE_CHECKING:
+    from ..api.registry import WorkloadContext
 
 __all__ = [
     "PICConfig",
     "StepRecord",
     "PICResult",
+    "AdaptivePIC",
     "execute_pic",
     "initpos",
     "reflected_position",
+    "cell_counts",
+    "move_particles",
+    "reassign",
 ]
+
+#: FIELD's second extent: a small per-cell record standing in for the
+#: paper's NPART slots
+NFIELD = 4
+#: compute tag of the owner-computes field update
+FIELD_TAG = "pic:update_field"
 
 
 @dataclass
@@ -133,6 +156,40 @@ def _cell_of(pos: np.ndarray, ncell: int) -> np.ndarray:
     return np.minimum((pos * ncell).astype(np.int64), ncell - 1)
 
 
+def cell_counts(pos: np.ndarray, ncell: int) -> np.ndarray:
+    """Particles per cell — the field update's per-cell work."""
+    return np.bincount(_cell_of(pos, ncell), minlength=ncell)
+
+
+def move_particles(
+    pos, vel, rng: np.random.Generator, diffusion: float
+) -> np.ndarray:
+    """Drift plus diffusion between reflecting walls; returns the new
+    positions and negates ``vel`` in place where a particle hit the top."""
+    pos = pos + vel + rng.normal(0.0, diffusion, size=pos.size)
+    pos = np.abs(pos)
+    over = pos >= 1.0
+    pos[over] = 2.0 - pos[over]
+    pos = np.clip(pos, 0.0, np.nextafter(1.0, 0.0))
+    vel[over] = -vel[over]
+    return pos
+
+
+def reassign(
+    network, owners, old_cells, new_cells, particle_bytes: int
+) -> None:
+    """Ship particles whose cell changed owner, then synchronize."""
+    moved = old_cells != new_cells
+    src = owners[old_cells[moved]]
+    dst = owners[new_cells[moved]]
+    cross = src != dst
+    if cross.any():
+        exchange_pairs(
+            network, src[cross], dst[cross], particle_bytes, "pic:reassign"
+        )
+        network.synchronize()
+
+
 def reflected_position(start: np.ndarray, displacement: float) -> np.ndarray:
     """Closed-form position after drifting ``displacement`` from
     ``start`` with reflecting walls at 0 and 1 — the triangle wave.
@@ -189,12 +246,10 @@ def _run_pic(
     machine.reset_network()
 
     ncell, nprocs = config.ncell, config.nprocs
-    # FIELD(NCELL, NFIELD): per-cell field values (second dim holds a
-    # small record per cell, standing in for the paper's NPART slots).
-    nfield = 4
+    # FIELD(NCELL, NFIELD): per-cell field values
     fld = engine.declare(
         "FIELD",
-        (ncell, nfield),
+        (ncell, NFIELD),
         dist=_field_dist(None, ncell, nprocs),
         dynamic=True,
     )
@@ -203,16 +258,13 @@ def _run_pic(
     pos = initpos(config, rng)
     vel = np.full(config.npart, config.drift)
 
-    def counts() -> np.ndarray:
-        return np.bincount(_cell_of(pos, ncell), minlength=ncell)
-
     def cell_owner_map() -> np.ndarray:
         """Owner rank of each cell under FIELD's current distribution."""
         return np.asarray(fld.dist.rank_map())[:, 0]
 
     # C Compute initial partition of cells + DISTRIBUTE FIELD :: B_BLOCK(BOUNDS)
     if config.strategy in ("bblock", "planned"):
-        bounds = balance_greedy(counts(), nprocs)
+        bounds = balance_greedy(cell_counts(pos, ncell), nprocs)
         engine.distribute("FIELD", _field_dist(bounds, ncell, nprocs))
 
     cost_engine = None
@@ -226,52 +278,28 @@ def _run_pic(
     result = PICResult(config)
     for k in range(1, config.max_time + 1):
         owners = cell_owner_map()
-        w = counts()
 
         # C Compute new field: owner-computes, work ~ local particles
-        loads = np.bincount(owners, weights=w, minlength=nprocs)
-        for rank in range(nprocs):
-            machine.network.compute(
-                rank, config.flops_per_particle * float(loads[rank]),
-                tag="pic:update_field",
-            )
+        charge_owner_work(
+            machine.network, owners, cell_counts(pos, ncell),
+            config.flops_per_particle, FIELD_TAG,
+        )
         machine.network.synchronize()
 
         # C Compute new particle positions and reassign them
         old_cells = _cell_of(pos, ncell)
-        pos = pos + vel + rng.normal(0.0, config.diffusion, size=config.npart)
-        # reflecting walls keep the cluster inside the domain
-        pos = np.abs(pos)
-        over = pos >= 1.0
-        pos[over] = 2.0 - pos[over]
-        pos = np.clip(pos, 0.0, np.nextafter(1.0, 0.0))
-        vel[over] = -vel[over]
-        new_cells = _cell_of(pos, ncell)
-
-        moved = old_cells != new_cells
-        src = owners[old_cells[moved]]
-        dst = owners[new_cells[moved]]
-        cross = src != dst
+        pos = move_particles(pos, vel, rng, config.diffusion)
         m0 = machine.stats()
-        if cross.any():
-            pair = src[cross] * nprocs + dst[cross]
-            cnt = np.bincount(pair, minlength=nprocs * nprocs).reshape(
-                nprocs, nprocs
-            )
-            machine.network.exchange(
-                [
-                    (int(s), int(d), int(cnt[s, d]) * config.particle_bytes,
-                     "pic:reassign")
-                    for s, d in zip(*np.nonzero(cnt))
-                ]
-            )
-            machine.network.synchronize()
+        reassign(
+            machine.network, owners, old_cells, _cell_of(pos, ncell),
+            config.particle_bytes,
+        )
         m1 = machine.stats()
 
         # C Rebalance every rebalance_every-th iteration if necessary
         redistributed = False
         redist_bytes = 0
-        w = counts()
+        w = cell_counts(pos, ncell)
         loads = np.bincount(owners, weights=w, minlength=nprocs)
         imb = float(loads.max() / max(loads.mean(), 1e-12))
         worthwhile = False
@@ -290,7 +318,7 @@ def _run_pic(
                 from ..planner.phases import ArrayLoad
 
                 cand = _field_dist(bounds, ncell, nprocs).apply(
-                    (ncell, nfield), machine.full_section()
+                    (ncell, NFIELD), machine.full_section()
                 )
                 load = ArrayLoad(
                     "FIELD",
@@ -328,3 +356,92 @@ def _run_pic(
         )
     result.total_time = machine.time
     return result
+
+
+class AdaptivePIC:
+    """The Figure 2 particle state under controller-owned layouts.
+
+    The ``pic`` workload's ``@spec.adaptive`` model (the protocol is in
+    :mod:`repro.adapt.controller`), built from the adaptive params in
+    ``ctx``.  After the measured field update a step is
+    :func:`_run_pic`'s: barrier, :func:`move_particles`,
+    :func:`reassign`.  No layout choice touches the RNG stream, so the
+    final positions (the solution) are layout-invariant.
+    """
+
+    array = "FIELD"
+    tag = FIELD_TAG
+
+    def __init__(self, ctx: "WorkloadContext"):
+        p = ctx.params
+        self.config = c = PICConfig(
+            ncell=int(p["ncell"]), npart=int(p["npart"]),
+            max_time=int(p["steps"]), nprocs=ctx.nprocs,
+            rebalance_every=int(p["window"]), drift=float(p["drift"]),
+            diffusion=float(p["diffusion"]),
+            cluster_width=float(p["cluster_width"]),
+            flops_per_particle=float(p["flops_per_particle"]),
+            particle_bytes=int(p["particle_bytes"]), seed=ctx.seed,
+        )
+        self.cost_model = ctx.cost_model
+        self.steps = c.max_time
+        self.shape = (c.ncell, NFIELD)
+        self.flops_per_unit = c.flops_per_particle
+        self.rng = np.random.default_rng(c.seed)
+        self.state = initpos(c, self.rng)
+        self.vel = np.full(c.npart, c.drift)
+
+    def dist(self, sizes) -> DistributionType:
+        return _field_dist(sizes, self.config.ncell, self.config.nprocs)
+
+    def work(self, step: int) -> np.ndarray:
+        return cell_counts(self.state, self.config.ncell)
+
+    #: a boundary balances the particles where they are now — the next
+    #: step's work
+    load = work
+
+    def advance(self, network, owners: np.ndarray, step: int) -> None:
+        network.synchronize()
+        ncell = self.config.ncell
+        old_cells = _cell_of(self.state, ncell)
+        self.state = move_particles(
+            self.state, self.vel, self.rng, self.config.diffusion
+        )
+        reassign(
+            network, owners, old_cells, _cell_of(self.state, ncell),
+            self.config.particle_bytes,
+        )
+
+    def offline_schedule(self) -> list[list[int]]:
+        """The planner's per-window block sizes, forecast by
+        :func:`~repro.planner.workloads.pic_workload` from pure drift
+        of the initial positions; ``rebalance_every`` is the window, so
+        plan phases line up with online windows.  Non-contiguous layouts
+        (CYCLIC) fall back to even blocks."""
+        from ..planner.costs import CostEngine
+        from ..planner.workloads import pic_workload, plan_workload
+
+        c = self.config
+        workload = pic_workload(
+            ncell=c.ncell,
+            npart=c.npart,
+            steps=c.max_time,
+            nprocs=c.nprocs,
+            rebalance_every=c.rebalance_every,
+            drift=c.drift,
+            cluster_width=c.cluster_width,
+            flops_per_particle=c.flops_per_particle,
+            particle_bytes=c.particle_bytes,
+            cost_model=self.cost_model,
+            seed=c.seed,
+        )
+        plan = plan_workload(
+            workload, cost_engine=CostEngine(workload.machine)
+        )
+        dims = [step.dist.dtype.dims[0] for step in plan.steps]
+        return [
+            [int(s) for s in dd.sizes] if isinstance(dd, GenBlock)
+            else block_sizes(c.ncell, c.nprocs)
+            for dd in dims
+        ]

@@ -218,7 +218,7 @@ def pic_workload(
     contiguous ``B_BLOCK`` partitions offered as hints.
     """
     from ..apps.load_balance import balance_greedy
-    from ..apps.pic import _cell_of, reflected_position
+    from ..apps.pic import cell_counts, reflected_position
 
     if machine is None:
         machine = Machine(ProcessorArray("P", (nprocs,)), cost_model=cost_model)
@@ -231,8 +231,7 @@ def pic_workload(
     )
 
     def counts_at(step: float) -> np.ndarray:
-        cells = _cell_of(reflected_position(pos0, drift * step), ncell)
-        return np.bincount(cells, minlength=ncell)
+        return cell_counts(reflected_position(pos0, drift * step), ncell)
 
     phases: list[Phase] = []
     hints: list[list[int]] = []

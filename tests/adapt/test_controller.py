@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from repro.adapt import AdaptiveController, MODES, supported_workloads
-from repro.adapt.controller import PIC_PROBE
+from repro.api import REGISTRY
 from repro.obs import metrics as obs_metrics
 from repro.obs.flight import flight_recorder
+
+PIC_PROBE = REGISTRY.get("pic").adaptive_hook.probe
 
 # CI-sized but drifting hard enough for the loop to fire
 PIC_PARAMS = dict(
@@ -111,6 +113,41 @@ def test_irregular_driver_wins_too():
     assert len(set(digests.values())) == 1
 
 
+def test_static_run_is_in_lockstep_with_execute_pic(pic):
+    # the controller's static arm and the app's static strategy run one
+    # PIC step: same charged makespan, messages and bytes
+    from repro.apps.pic import PICConfig, execute_pic
+    from repro.machine import Machine, PARAGON, ProcessorArray
+
+    run = pic.run("static")
+    machine = Machine(ProcessorArray("P", (4,)), cost_model=PARAGON)
+    cfg = PICConfig(
+        strategy="static", ncell=PIC_PARAMS["ncell"],
+        npart=PIC_PARAMS["npart"], max_time=PIC_PARAMS["steps"], nprocs=4,
+        drift=PIC_PARAMS["drift"], diffusion=PIC_PARAMS["diffusion"],
+        cluster_width=PIC_PARAMS["cluster_width"], seed=0,
+    )
+    result = execute_pic(machine, cfg)
+    stats = machine.stats()
+    assert run.makespan == result.total_time
+    assert run.messages == stats.messages
+    assert run.bytes == stats.bytes
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_irregular_solution_is_jacobi_relaxation(seed):
+    from repro.apps.irregular import make_mesh, relaxation_reference
+
+    run = AdaptiveController(
+        "irregular", nprocs=4, seed=seed, params=IRR_PARAMS
+    ).run("adaptive")
+    rng = np.random.default_rng(seed)
+    g = make_mesh(IRR_PARAMS["n"], seed=seed, kind="geometric", rng=rng)
+    v0 = rng.standard_normal(IRR_PARAMS["n"])
+    expected = relaxation_reference(g, v0, IRR_PARAMS["sweeps"])
+    assert np.allclose(run.solution, expected, rtol=0, atol=1e-12)
+
+
 def test_probe_is_small_and_fast(pic):
     run = pic.probe(drift=0.02)
     assert run.params["ncell"] == PIC_PROBE["ncell"]
@@ -150,3 +187,66 @@ def test_every_decision_leaves_a_flight_note_and_metrics(pic):
     finally:
         obs_metrics.disable()
         flight_recorder.reset()
+
+
+class _ToyModel:
+    """A hot spot sliding one cell per step over a 1-D array."""
+
+    array, tag = "T", "toy:kernel"
+
+    def __init__(self, ctx):
+        self.n, self.steps = int(ctx.params["n"]), int(ctx.params["steps"])
+        self.nprocs = ctx.nprocs
+        self.shape = (self.n,)
+        self.flops_per_unit = 1000.0
+        self.state = np.zeros(self.n)
+
+    def dist(self, sizes):
+        from repro.apps.load_balance import block_sizes
+        from repro.core import DistributionType, GenBlock
+
+        if sizes is None:
+            sizes = block_sizes(self.n, self.nprocs)
+        return DistributionType((GenBlock(sizes),))
+
+    def work(self, step):
+        w = np.ones(self.n)
+        w[(np.arange(self.n // 4) + step) % self.n] += 20.0
+        return w
+
+    load = work
+
+    def advance(self, network, owners, step):
+        network.synchronize()
+        self.state = self.state + self.work(step)
+
+    def offline_schedule(self):
+        return None
+
+
+def test_a_registered_hook_is_all_a_workload_needs():
+    from repro.api import ExecutionOutcome, register_workload, session
+
+    spec = register_workload("toy-drift", defaults={"size": 32, "steps": 24})(
+        lambda ctx: ExecutionOutcome(solution=np.zeros(1))
+    )
+    spec.adaptive(
+        defaults={"n": 32, "steps": 24, "window": 3},
+        probe={"n": 16, "steps": 8, "window": 2},
+        session=lambda p: ({"n": p["size"], "steps": p["steps"]}, 3),
+    )(_ToyModel)
+    try:
+        assert "toy-drift" in supported_workloads()
+        ctl = AdaptiveController("toy-drift", nprocs=4)
+        runs = {mode: ctl.run(mode) for mode in MODES}
+        assert len({r.solution_digest() for r in runs.values()}) == 1
+        assert runs["adaptive"].replans
+        assert runs["adaptive"].makespan < runs["static"].makespan
+        with session(nprocs=4) as sess:
+            result = sess.workload("toy-drift").adapt()
+        assert result.window == 3
+        adaptive = runs["adaptive"]
+        assert result.run.decision_digest() == adaptive.decision_digest()
+    finally:
+        REGISTRY.unregister("toy-drift")
+    assert "toy-drift" not in supported_workloads()

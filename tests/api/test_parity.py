@@ -222,3 +222,36 @@ def test_internal_code_emits_no_deprecation_warnings():
         session(nprocs=4).workload("smoothing", size=12, steps=2).run()
         session(nprocs=4).workload("adi", size=12, iterations=1).plan()
         session(nprocs=4).workload("adi", size=12, iterations=1).trace()
+
+
+# handle.adapt() maps registry params onto the controller's names
+ADAPT_CASES = [
+    ("pic", {"size": 32, "steps": 12, "drift": 0.03, "diffusion": 0.004},
+     {"ncell": 32, "npart": 256, "steps": 12, "drift": 0.03,
+      "diffusion": 0.004}, 10),
+    ("irregular", {"size": 48, "steps": 12, "drift": 0.04},
+     {"n": 48, "sweeps": 12, "kind": "geometric", "drift": 0.04}, 3),
+]
+
+
+@pytest.mark.parametrize("name,params,mapped,default_window", ADAPT_CASES)
+@pytest.mark.parametrize("window", [None, 4])
+@pytest.mark.parametrize("mode", ["adaptive", "offline"])
+def test_session_adapt_matches_controller(
+    name, params, mapped, default_window, window, mode
+):
+    from repro.adapt import AdaptiveController
+
+    if name not in REGISTRY.names():
+        pytest.skip(f"{name} is not registered")
+    with session(nprocs=NPROCS, seed=2) as sess:
+        result = sess.workload(name, **params).adapt(mode, window=window)
+    expected_window = default_window if window is None else window
+    assert result.window == expected_window
+    run = AdaptiveController(
+        name, nprocs=NPROCS, cost_model="Paragon", window=expected_window,
+        seed=2, params=mapped,
+    ).run(mode)
+    assert result.run.solution_digest() == run.solution_digest()
+    assert result.run.decision_digest() == run.decision_digest()
+    assert result.run.makespan == run.makespan
