@@ -350,8 +350,7 @@ from .obs import (
     MetricsRegistry,
     TrajectoryStore,
     attribution,
-    compare_adapt_reports,
-    compare_perf_reports,
+    compare_reports,
     flight_recorder,
     get_request_id,
     get_trace_id,
@@ -400,8 +399,7 @@ __all__ = [
     "Attribution",
     "TrajectoryStore",
     "attribution",
-    "compare_adapt_reports",
-    "compare_perf_reports",
+    "compare_reports",
     "flight_recorder",
     # adaptive redistribution (repro.adapt)
     "AdaptiveController",

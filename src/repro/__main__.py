@@ -59,6 +59,9 @@ import json
 import sys
 from typing import Sequence
 
+from .obs.compare import DEFAULT_WALL_TOLERANCE
+from .obs.gates import KINDS, GateError
+
 COST_MODEL_CHOICES = ("iPSC/860", "Paragon", "modern", "zero")
 BACKEND_CHOICES = ("serial", "multiprocess")
 
@@ -198,6 +201,8 @@ def bench_command(args: argparse.Namespace) -> None:
     with ``--compare``, diff the run against a baseline (the regression
     sentinel: op-count drift is a hard fail, exit 2; wall-clock drift
     beyond the trajectory's noise band a soft fail, exit 3)."""
+    from .obs.compare import compare_reports, resolve_baseline
+    from .obs.trajectory import TrajectoryStore
     from .perf import run_harness
 
     mode = "smoke" if args.smoke else "full"
@@ -205,40 +210,32 @@ def bench_command(args: argparse.Namespace) -> None:
     if not args.json:
         print(f"perf harness ({mode} sizes; wall-clock informational, "
               f"op counts asserted{' [--check]' if args.check else ''}):")
-    if not args.compare:
-        report = run_harness(
-            smoke=args.smoke,
-            out=args.out,
-            check=args.check,
-            benches=args.only or None,
-            quiet=args.json,
-            trajectory=trajectory,
-        )
-        if args.json:
-            print(json.dumps(report, indent=2))
-        return
-
-    from .obs.compare import compare_perf_reports, resolve_baseline
-    from .obs.trajectory import TrajectoryStore
-
-    # resolve the baseline *before* the harness runs: the run must not
-    # land in the trajectory first (it would baseline itself), and the
-    # harness overwrites --out (default BENCH_PERF.json) — the very
-    # file the snapshot fallback would otherwise read back
     store = TrajectoryStore(trajectory) if trajectory else None
-    baseline, source = resolve_baseline(
-        {"smoke": bool(args.smoke)},
-        kind="perf", baseline_path=args.baseline, trajectory=store,
-    )
+    if args.compare:
+        # resolve the baseline *before* the harness runs: the run must
+        # not land in the trajectory first (it would baseline itself,
+        # and sit in its own noise band; it is appended after the
+        # comparison), and the harness overwrites --out (default
+        # BENCH_PERF.json) — the very file the snapshot fallback would
+        # otherwise read back
+        baseline, source = resolve_baseline(
+            {"smoke": bool(args.smoke)},
+            kind="perf", baseline_path=args.baseline, trajectory=store,
+        )
     report = run_harness(
         smoke=args.smoke,
         out=args.out,
         check=args.check,
         benches=args.only or None,
         quiet=args.json,
+        trajectory=None if args.compare else trajectory,
     )
-    comparison = compare_perf_reports(
-        baseline, report, baseline_source=source, trajectory=store,
+    if not args.compare:
+        if args.json:
+            print(json.dumps(report, indent=2))
+        return
+    comparison = compare_reports(
+        "perf", baseline, report, baseline_source=source, trajectory=store,
         wall_tolerance=args.wall_tolerance,
     )
     if store is not None:
@@ -301,22 +298,13 @@ def serve_command(args: argparse.Namespace) -> None:
     from .serve import PlanningService, run_loadtest, serve_forever
 
     if args.loadtest or args.url or args.chaos:
-        out = args.out
-        metrics_out = args.metrics_out
-        if args.chaos:
-            # chaos gets its own artifacts; never clobber the
-            # steady-state bench snapshot or metrics scrape
-            if out == "BENCH_SERVE.json":
-                out = "BENCH_CHAOS.json"
-            if metrics_out == "METRICS_SERVE.prom":
-                metrics_out = ""
         report = run_loadtest(
             url=args.url,
             clients=args.clients,
             rounds=args.rounds,
             smoke=args.smoke,
-            out=out,
-            metrics_out=metrics_out,
+            out=args.out,
+            metrics_out=args.metrics_out,
             trajectory=args.trajectory or None,
             check=args.check,
             quiet=args.json,
@@ -394,42 +382,19 @@ def obs_command(args: argparse.Namespace) -> None:
         return
 
     if args.action == "compare":
-        from .obs.compare import (
-            compare_adapt_reports,
-            compare_chaos_reports,
-            compare_perf_reports,
-            compare_serve_reports,
-            load_report,
-            resolve_baseline,
-        )
+        from .obs.compare import compare_reports, load_report, resolve_baseline
         from .obs.trajectory import TrajectoryStore
 
-        current = load_report(args.current)
+        current = load_report(args.current, kind=args.kind)
         store = TrajectoryStore(args.trajectory) if args.trajectory else None
         baseline, source = resolve_baseline(
             current, kind=args.kind, baseline_path=args.baseline,
             trajectory=store,
         )
-        if args.kind == "serve":
-            comparison = compare_serve_reports(
-                baseline, current, baseline_source=source,
-                wall_tolerance=args.wall_tolerance,
-            )
-        elif args.kind == "chaos":
-            comparison = compare_chaos_reports(
-                baseline, current, baseline_source=source,
-                wall_tolerance=args.wall_tolerance,
-            )
-        elif args.kind == "adapt":
-            comparison = compare_adapt_reports(
-                baseline, current, baseline_source=source,
-                wall_tolerance=args.wall_tolerance,
-            )
-        else:
-            comparison = compare_perf_reports(
-                baseline, current, baseline_source=source, trajectory=store,
-                wall_tolerance=args.wall_tolerance,
-            )
+        comparison = compare_reports(
+            args.kind, baseline, current, baseline_source=source,
+            trajectory=store, wall_tolerance=args.wall_tolerance,
+        )
         if args.json:
             print(json.dumps(comparison.to_json(), indent=2))
         else:
@@ -555,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--smoke", action="store_true",
                    help="CI-sized problems (fast; same op-count checks)")
     b.add_argument("--check", action="store_true",
-                   help="exit non-zero if any vectorized path's op "
-                        "counts or results diverge from its reference")
+                   help="exit 2 if any vectorized path's op counts or "
+                        "results diverge from its reference")
     b.add_argument("--out", default="BENCH_PERF.json",
                    help="output JSON path ('' to skip writing)")
     b.add_argument("--only", nargs="*", choices=sorted(BENCHES),
@@ -576,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trajectory", default="BENCH_TRAJECTORY.jsonl",
                    help="append this run to the JSONL trajectory history "
                         "('' to skip)")
-    b.add_argument("--wall-tolerance", type=float, default=1.0,
+    b.add_argument("--wall-tolerance", type=float,
+                   default=DEFAULT_WALL_TOLERANCE,
                    help="relative wall-clock tolerance when the "
                         "trajectory has too little history for a noise "
                         "band (1.0 = current may be 2x baseline)")
@@ -615,11 +581,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--chaos-seed", type=int, default=None,
                    help="fault-plan seed (defaults to the request seed)")
     s.add_argument("--check", action="store_true",
-                   help="exit non-zero unless zero failures, "
-                        "byte-identical responses, and > 50%% repeated-"
-                        "phase cache hit rate (under --chaos: zero "
-                        "byte-identity violations, incident IDs on "
-                        "every 5xx, and bitwise-identical recovery)")
+                   help="exit 2 on any failed gate of the serve family "
+                        "(under --chaos, the chaos family) in "
+                        "repro.obs.gates")
     s.add_argument("--out", default="BENCH_SERVE.json",
                    help="load-test report path ('' to skip writing)")
     s.add_argument("--metrics-out", default="METRICS_SERVE.prom",
@@ -642,9 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CI-sized drifting-load scenarios")
     a.add_argument("--check", action="store_true",
                    help="exit 2 unless every scenario's gates pass "
-                        "(adaptive beats static and offline, replans "
-                        "fired, bitwise-deterministic, identical "
-                        "solutions across modes)")
+                        "(the adapt family in repro.obs.gates)")
     a.add_argument("--out", default="BENCH_ADAPT.json",
                    help="bench report path ('' to skip writing)")
     a.add_argument("--coverage-out", default="ADAPT_COVERAGE.json",
@@ -715,14 +677,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compare: the current report file")
     o.add_argument("--baseline", default=None,
                    help="compare: the baseline report or trajectory file")
-    o.add_argument("--kind", default="perf",
-                   choices=("perf", "serve", "chaos", "adapt"),
+    o.add_argument("--kind", default="perf", choices=KINDS,
                    help="compare: which bench family the reports are")
     o.add_argument("--trajectory", default="BENCH_TRAJECTORY.jsonl",
                    help="compare: trajectory history for baseline "
                         "resolution and the wall-clock noise band "
                         "('' to skip)")
-    o.add_argument("--wall-tolerance", type=float, default=1.0,
+    o.add_argument("--wall-tolerance", type=float,
+                   default=DEFAULT_WALL_TOLERANCE,
                    help="compare: relative wall-clock tolerance fallback")
     return parser
 
@@ -747,6 +709,10 @@ def main(argv: Sequence[str] | None = None) -> None:
     command = COMMANDS.get(args.command, lambda _args: tour())
     try:
         command(args)
+    except GateError as exc:
+        # a failed --check exits 2; its message names the failed gates
+        print(f"error: {exc}", file=sys.stderr)
+        raise
     except SystemExit:
         raise
     except BrokenPipeError:

@@ -25,7 +25,6 @@ bench history the regression sentinel reads.
 
 from __future__ import annotations
 
-import json
 from typing import Mapping
 
 from .controller import AdaptiveController
@@ -157,11 +156,11 @@ def run_adapt_bench(
     """Run the E16 adaptive-redistribution bench; returns the report.
 
     ``out``/``coverage_out`` name the JSON artifacts (``None`` skips
-    writing); ``check`` raises ``SystemExit(2)`` when any scenario
-    gate fails; ``trajectory`` appends the report to the bench-history
-    JSONL (kind ``"adapt"``).
+    writing); ``check`` raises :class:`~repro.obs.gates.GateError`
+    (exit 2) when any scenario gate fails; ``trajectory`` appends the
+    report to the bench-history JSONL (kind ``"adapt"``).
     """
-    from ..obs.trajectory import TrajectoryStore, environment_fingerprint
+    from ..obs.trajectory import record_run
 
     scenarios = SMOKE_SCENARIOS if smoke else SCENARIOS
     results = []
@@ -189,16 +188,9 @@ def run_adapt_bench(
         "schema": ADAPT_SCHEMA,
         "smoke": bool(smoke),
         "seed": int(seed),
-        "env": environment_fingerprint(),
         "scenarios": results,
         "pass": all(r["pass"] for r in results),
     }
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        if not quiet:
-            print(f"  wrote {out}")
     if coverage_out:
         coverage = PolicyLibrary().coverage_report(seed=seed)
         dump_coverage(coverage, coverage_out)
@@ -206,17 +198,7 @@ def run_adapt_bench(
             n = len(coverage["entries"])
             print(f"  wrote {coverage_out} ({n} registry entries, "
                   f"complete={coverage['complete']})")
-    if trajectory:
-        entry = TrajectoryStore(trajectory).append("adapt", report)
-        if not quiet:
-            print(f"  appended to {trajectory} (env {entry['env_digest']})")
-    if check and not report["pass"]:
-        failing = [
-            f"{r['name']}: " + ", ".join(
-                g for g, ok in r["gates"].items() if not ok
-            )
-            for r in results if not r["pass"]
-        ]
-        print("adapt bench gate failed -- " + "; ".join(failing))
-        raise SystemExit(2)
-    return report
+    return record_run(
+        "adapt", report, out=out, trajectory=trajectory, check=check,
+        quiet=quiet,
+    )

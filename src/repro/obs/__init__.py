@@ -12,10 +12,11 @@ timelines into one ``chrome://tracing`` file.
 Analysis tier (ISSUE 8): the **bench trajectory store**
 (:class:`TrajectoryStore` — append-only JSONL history of every bench
 run, stamped with schema version, git SHA and a machine fingerprint),
-the **regression sentinel** (:func:`compare_perf_reports` /
-:func:`compare_serve_reports` behind ``python -m repro bench
---compare`` — op-count drift is a hard fail, wall-clock drift beyond
-the trajectory's noise band a soft fail), the **attribution layer**
+the **regression sentinel** (:func:`compare_reports` behind
+``python -m repro bench --compare`` — failed gates of the bench
+family's row in :mod:`repro.obs.gates` and op-count drift are hard
+fails, wall-clock drift beyond the trajectory's noise band a soft
+fail), the **attribution layer**
 (:func:`attribution` / ``obs analyze`` — per-phase compute/comm/idle
 breakdowns that sum to the simulated makespan, plus top-N slowness
 reasons), and the always-on bounded **flight recorder**
@@ -46,15 +47,13 @@ from .compare import (
     CompareReport,
     EXIT_HARD,
     EXIT_SOFT,
-    compare_adapt_reports,
-    compare_chaos_reports,
-    compare_perf_reports,
-    compare_serve_reports,
+    compare_reports,
     load_report,
     resolve_baseline,
 )
 from .export import chrome_trace, dump_chrome_trace
 from .flight import FlightRecorder, flight_recorder, incident, note
+from .gates import GateError
 from .metrics import (
     Counter,
     Gauge,
@@ -99,6 +98,7 @@ __all__ = [
     "EXIT_HARD",
     "EXIT_SOFT",
     "FlightRecorder",
+    "GateError",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -110,10 +110,7 @@ __all__ = [
     "attribution",
     "chrome_trace",
     "clear_spans",
-    "compare_adapt_reports",
-    "compare_chaos_reports",
-    "compare_perf_reports",
-    "compare_serve_reports",
+    "compare_reports",
     "counter",
     "disable",
     "dump_chrome_trace",

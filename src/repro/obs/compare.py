@@ -5,25 +5,23 @@ compare``) answer "did this change make anything slower, and where?"
 with an automated verdict instead of a human eyeballing two JSON
 files:
 
-- **hard fail** — the bitwise contract broke: a bench's op counts
-  (messages, bytes, remote reads, events, plan costs) drifted from the
-  baseline, or a vectorized path diverged from its reference
-  (``match: false``).  Op counts are deterministic functions of the
-  code, so *any* drift is a real behaviour change.
-- **soft fail** — wall-clock drifted beyond a tolerance band.  The
-  band comes from the trajectory's own noise when enough comparable
-  history exists (``mean + 3σ`` over same-size, same-machine-class
-  samples), else from a relative tolerance on the baseline figure.
-  Wall clock is machine-dependent, so this is a separate, softer exit
-  code CI can choose to tolerate.
+- **hard fail** — a hard gate of the family's row in
+  :data:`repro.obs.gates.FAMILIES` failed (``match: false``, a failed
+  request, a diverged recovery, ...) or a perf bench's op counts
+  drifted from the baseline.  Op counts are deterministic functions
+  of the code, so *any* drift is a real behaviour change.
+- **soft fail** — a soft gate failed, or wall clock drifted beyond a
+  tolerance band: the trajectory's own noise (``mean + 3σ`` over
+  same-size, same-machine-class samples) when enough history exists,
+  else a relative tolerance on the baseline figure.
 
 Exit-code contract (the CI gate): 0 clean, :data:`EXIT_HARD` (2) on
 any hard failure, :data:`EXIT_SOFT` (3) when only soft failures exist.
 
 Baselines resolve in order: an explicit report path, the latest
-compatible trajectory entry (same kind and smoke flag), then the
-committed snapshot (``BENCH_PERF.json`` / ``BENCH_SERVE.json``).  A
-smoke-run report is **refused** as a baseline for a full-size run
+healthy compatible trajectory entry (same kind and smoke flag, every
+gate passing), then the family's committed ``BENCH_*.json`` snapshot.
+A smoke-run report is **refused** as a baseline for a full-size run
 (:class:`BaselineError`): smoke sizes make its op counts and timings
 meaningless as a full-size reference.
 """
@@ -35,6 +33,7 @@ import os
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from .gates import EXIT_HARD, EXIT_SOFT, FAMILIES, HARD, failed_gates
 from .trajectory import TrajectoryStore, env_digest
 
 __all__ = [
@@ -44,18 +43,10 @@ __all__ = [
     "EXIT_HARD",
     "EXIT_SOFT",
     "DEFAULT_WALL_TOLERANCE",
-    "compare_adapt_reports",
-    "compare_chaos_reports",
-    "compare_perf_reports",
-    "compare_serve_reports",
+    "compare_reports",
     "load_report",
     "resolve_baseline",
 ]
-
-#: exit code for a broken bitwise contract (op/byte-count drift)
-EXIT_HARD = 2
-#: exit code for wall-clock drift beyond the tolerance band
-EXIT_SOFT = 3
 
 #: relative wall-clock tolerance when the trajectory has too little
 #: history for a noise band (current may be up to 2x the baseline)
@@ -93,6 +84,14 @@ class BenchDelta:
             "wall_limit": self.wall_limit,
             "wall_source": self.wall_source,
         }
+
+    def fail(self, severity: str, reason: str) -> None:
+        """Record one failed gate; a hard failure outranks a soft one."""
+        if severity == HARD:
+            self.verdict = "hard_fail"
+        elif self.verdict == "ok":
+            self.verdict = "soft_fail"
+        self.reasons.append(reason)
 
 
 @dataclass
@@ -158,16 +157,31 @@ class CompareReport:
 
 # -- baseline resolution ----------------------------------------------------
 
-def load_report(path: str) -> dict:
+def _latest_healthy(
+    store: TrajectoryStore, kind: str, smoke: bool | None
+) -> Optional[dict]:
+    """The newest ``kind`` entry (of ``smoke`` size, when given) whose
+    report passes every gate of its family."""
+    for entry in reversed(store.entries(kind=kind, smoke=smoke)):
+        if not failed_gates(kind, entry["report"]):
+            return entry
+    return None
+
+
+def load_report(
+    path: str, kind: str = "perf", smoke: bool | None = None
+) -> dict:
     """Load a bench report from a JSON snapshot or a trajectory JSONL
-    (the latest entry's report, regardless of kind)."""
+    (the latest healthy ``kind`` entry, of ``smoke`` size when given)."""
     if not os.path.exists(path):
         raise BaselineError(f"no such baseline file: {path!r}")
     if path.endswith((".jsonl", ".ndjson")):
-        latest = TrajectoryStore(path).latest()
-        if latest is None:
-            raise BaselineError(f"trajectory {path!r} has no usable entries")
-        return latest["report"]
+        entry = _latest_healthy(TrajectoryStore(path), kind, smoke)
+        if entry is None:
+            raise BaselineError(
+                f"trajectory {path!r} has no healthy {kind} entries"
+            )
+        return entry["report"]
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -178,12 +192,7 @@ def load_report(path: str) -> dict:
 def _check_baseline_compatible(
     baseline: dict, current: dict, source: str, kind: str
 ) -> None:
-    expected = {
-        "perf": "repro-bench-perf",
-        "serve": "repro-bench-serve",
-        "chaos": "repro-bench-chaos",
-        "adapt": "repro-bench-adapt",
-    }[kind]
+    expected = FAMILIES[kind].schema
     schema = str(baseline.get("schema", ""))
     if not schema.startswith(expected):
         raise BaselineError(
@@ -207,28 +216,25 @@ def resolve_baseline(
 ) -> tuple[dict, str]:
     """Find the baseline report for ``current``; returns (report, source).
 
-    Explicit path > latest compatible trajectory entry (same kind and
-    smoke flag) > the committed snapshot file.  Every candidate passes
-    the smoke-as-baseline refusal check.
+    Explicit path > latest healthy compatible trajectory entry (same
+    kind and smoke flag, every gate passing) > the family's committed
+    snapshot file.  Every candidate passes the smoke-as-baseline
+    refusal check.
     """
+    smoke = bool(current.get("smoke"))
     if baseline_path:
-        report = load_report(baseline_path)
+        report = load_report(baseline_path, kind=kind, smoke=smoke)
         _check_baseline_compatible(report, current, baseline_path, kind)
         return report, baseline_path
 
     if trajectory is not None:
-        entry = trajectory.latest(kind=kind, smoke=bool(current.get("smoke")))
+        entry = _latest_healthy(trajectory, kind, smoke)
         if entry is not None:
             source = f"{trajectory.path} (latest {kind} entry)"
             _check_baseline_compatible(entry["report"], current, source, kind)
             return entry["report"], source
 
-    fallback = {
-        "perf": "BENCH_PERF.json",
-        "serve": "BENCH_SERVE.json",
-        "chaos": "BENCH_CHAOS.json",
-        "adapt": "BENCH_ADAPT.json",
-    }[kind]
+    fallback = FAMILIES[kind].snapshot
     if os.path.exists(fallback):
         report = load_report(fallback)
         _check_baseline_compatible(report, current, fallback, kind)
@@ -239,34 +245,10 @@ def resolve_baseline(
     )
 
 
-# -- perf comparison --------------------------------------------------------
+# -- comparison -------------------------------------------------------------
 
-def _wall_limit(
-    bench: dict,
-    baseline_bench: dict,
-    *,
-    trajectory: TrajectoryStore | None,
-    current: dict,
-    wall_tolerance: float,
-) -> tuple[Optional[float], str]:
-    """The upper wall-clock bound for one bench and where it came from."""
-    if trajectory is not None:
-        env = current.get("env") or {}
-        band = trajectory.noise_band(
-            bench["name"],
-            smoke=bool(current.get("smoke")),
-            size=bench.get("size"),
-            env_key=env_digest(env) if env else None,
-        )
-        if band is not None:
-            return band, "trajectory_noise"
-    base = baseline_bench.get("vectorized_seconds")
-    if isinstance(base, (int, float)):
-        return float(base) * (1.0 + wall_tolerance), "relative"
-    return None, "none"
-
-
-def compare_perf_reports(
+def compare_reports(
+    kind: str,
     baseline: dict,
     current: dict,
     *,
@@ -274,259 +256,43 @@ def compare_perf_reports(
     trajectory: TrajectoryStore | None = None,
     wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
 ) -> CompareReport:
-    """Diff two ``repro-bench-perf`` reports bench by bench."""
-    report = CompareReport(kind="perf", baseline_source=baseline_source)
-    base_by_name = {b["name"]: b for b in baseline.get("benches", ())}
-    for bench in current.get("benches", ()):
-        name = bench["name"]
-        delta = BenchDelta(
-            name=name,
-            verdict="ok",
-            current_seconds=bench.get("vectorized_seconds"),
-        )
-        report.deltas.append(delta)
+    """Diff two ``kind`` bench reports under the family's gate-table row.
 
-        # the run's own bitwise contract is a hard gate regardless of
-        # what the baseline says
-        if not bench.get("match", False):
-            delta.verdict = "hard_fail"
-            delta.reasons.append(
-                "vectorized path diverged from its reference oracle "
-                "(match: false)"
-            )
-
-        base = base_by_name.get(name)
-        if base is None:
-            delta.reasons.append("bench absent from baseline; ops not compared")
-            continue
-        delta.baseline_seconds = base.get("vectorized_seconds")
-
-        if base.get("size") != bench.get("size"):
-            delta.reasons.append(
-                f"sizes differ (baseline {base.get('size')} vs current "
-                f"{bench.get('size')}); op counts not comparable"
-            )
-            continue
-
-        # hard gate: op/byte-count drift against the baseline
-        for side in ("reference_ops", "vectorized_ops"):
-            b_ops, c_ops = base.get(side, {}), bench.get(side, {})
-            if b_ops != c_ops:
-                drifted = sorted(
-                    k
-                    for k in set(b_ops) | set(c_ops)
-                    if b_ops.get(k) != c_ops.get(k)
-                )
-                details = ", ".join(
-                    f"{k}: {b_ops.get(k)} -> {c_ops.get(k)}" for k in drifted
-                )
-                delta.verdict = "hard_fail"
-                delta.reasons.append(f"{side} drifted ({details})")
-
-        # soft gate: wall-clock drift beyond the tolerance band
-        cur_s = bench.get("vectorized_seconds")
-        limit, source = _wall_limit(
-            bench, base, trajectory=trajectory, current=current,
-            wall_tolerance=wall_tolerance,
-        )
-        delta.wall_limit = limit
-        delta.wall_source = source
-        if (
-            delta.verdict == "ok"
-            and isinstance(cur_s, (int, float))
-            and limit is not None
-            and cur_s > limit
-        ):
-            delta.verdict = "soft_fail"
-            delta.reasons.append(
-                f"wall clock {cur_s * 1e3:.2f} ms exceeds the "
-                f"{source} band ({limit * 1e3:.2f} ms)"
-            )
-    missing = sorted(set(base_by_name) - {d.name for d in report.deltas})
-    for name in missing:
-        report.deltas.append(
-            BenchDelta(
-                name=name,
-                verdict="skipped",
-                reasons=["present in baseline but not run (e.g. --only)"],
-            )
-        )
-    return report
-
-
-# -- serve comparison -------------------------------------------------------
-
-def compare_serve_reports(
-    baseline: dict,
-    current: dict,
-    *,
-    baseline_source: str = "baseline",
-    wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
-) -> CompareReport:
-    """Diff two ``repro-bench-serve`` reports.
-
-    Hard gates: failed requests and byte-identity (the serving
-    contract).  Soft gates: repeated-phase hit-rate drop and p50
-    latency drift per phase.
+    Every gate ``current`` fails lands on its verdict row, then the
+    family's drift rules compare it against ``baseline``: perf op-count
+    drift (hard) and wall clock beyond the ``trajectory``'s noise band,
+    else ``wall_tolerance`` over the baseline (soft); serve p50 drift
+    and repeated-phase hit-rate drop (soft).  Chaos and adapt
+    contracts are absolute: their baseline is not read.
     """
-    report = CompareReport(kind="serve", baseline_source=baseline_source)
-    overall = BenchDelta(name="serving_contract", verdict="ok")
-    report.deltas.append(overall)
-    if current.get("total_failures", 0):
-        overall.verdict = "hard_fail"
-        overall.reasons.append(
-            f"{current['total_failures']} failed request(s)"
+    family = FAMILIES[kind]
+    report = CompareReport(kind=kind, baseline_source=baseline_source)
+    rows: dict[str, BenchDelta] = {}
+
+    def row(name: str) -> BenchDelta:
+        if name not in rows:
+            rows[name] = BenchDelta(name=name, verdict="ok")
+            report.deltas.append(rows[name])
+        return rows[name]
+
+    def noise_band(bench: dict) -> Optional[float]:
+        if trajectory is None:
+            return None
+        env = current.get("env") or {}
+        return trajectory.noise_band(
+            bench["name"],
+            smoke=bool(current.get("smoke")),
+            size=bench.get("size"),
+            env_key=env_digest(env) if env else None,
         )
-    if not current.get("byte_identical", True):
-        overall.verdict = "hard_fail"
-        overall.reasons.append(
-            "identical requests returned non-identical bytes"
+
+    for name in family.subjects(current):
+        row(name)
+    for failure in family.gates(current):
+        row(failure.subject).fail(failure.severity, failure.reason)
+    if family.drift is not None:
+        family.drift(
+            baseline, current, row,
+            noise_band=noise_band, wall_tolerance=wall_tolerance,
         )
-
-    base_phases = {p["name"]: p for p in baseline.get("phases", ())}
-    for phase in current.get("phases", ()):
-        name = phase["name"]
-        delta = BenchDelta(name=f"phase:{name}", verdict="ok")
-        report.deltas.append(delta)
-        base = base_phases.get(name)
-        cur_p50 = (phase.get("latency") or {}).get("p50_ms")
-        delta.current_seconds = (
-            cur_p50 / 1e3 if isinstance(cur_p50, (int, float)) else None
-        )
-        if base is None:
-            delta.reasons.append("phase absent from baseline")
-            continue
-        base_rate = base.get("cache_hit_rate")
-        cur_rate = phase.get("cache_hit_rate")
-        if (
-            name == "repeated"
-            and isinstance(base_rate, (int, float))
-            and isinstance(cur_rate, (int, float))
-            and cur_rate < base_rate - 0.2
-        ):
-            delta.verdict = "soft_fail"
-            delta.reasons.append(
-                f"repeated-phase hit rate fell {base_rate:.0%} -> {cur_rate:.0%}"
-            )
-        base_p50 = (base.get("latency") or {}).get("p50_ms")
-        if isinstance(base_p50, (int, float)) and isinstance(
-            cur_p50, (int, float)
-        ):
-            delta.baseline_seconds = base_p50 / 1e3
-            limit = base_p50 * (1.0 + wall_tolerance)
-            delta.wall_limit = limit / 1e3
-            delta.wall_source = "relative"
-            if delta.verdict == "ok" and cur_p50 > limit:
-                delta.verdict = "soft_fail"
-                delta.reasons.append(
-                    f"p50 latency {cur_p50:.1f} ms exceeds "
-                    f"{limit:.1f} ms ({wall_tolerance:.0%} over baseline)"
-                )
-    return report
-
-
-# -- chaos comparison -------------------------------------------------------
-
-def compare_chaos_reports(
-    baseline: dict,
-    current: dict,
-    *,
-    baseline_source: str = "baseline",
-    wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
-) -> CompareReport:
-    """Diff two ``repro-bench-chaos`` reports.
-
-    Injected failures are *expected* in chaos runs, so the serve
-    tier's zero-failure gate does not apply.  Hard gates here are the
-    robustness contract: byte-identity under faults, an incident ID on
-    every 5xx, and recovered multiprocess runs bitwise-identical to
-    the serial reference.  Soft gate: the crash fault must actually
-    have fired (at least one fleet restart observed).
-    """
-    del baseline, wall_tolerance  # chaos gates are absolute, not drifts
-    report = CompareReport(kind="chaos", baseline_source=baseline_source)
-    overall = BenchDelta(name="robustness_contract", verdict="ok")
-    report.deltas.append(overall)
-    if not current.get("byte_identical", True):
-        overall.verdict = "hard_fail"
-        overall.reasons.append(
-            "identical requests returned non-identical bytes under faults"
-        )
-    chaos = current.get("chaos") or {}
-    if chaos.get("uncovered_5xx"):
-        overall.verdict = "hard_fail"
-        overall.reasons.append(
-            f"{chaos['uncovered_5xx']} 5xx response(s) without an "
-            f"X-Repro-Incident-Id"
-        )
-    recovery = chaos.get("recovery") or {}
-    if recovery.get("failures"):
-        overall.verdict = "hard_fail"
-        overall.reasons.append(
-            f"{recovery['failures']} recovery-phase request(s) failed"
-        )
-    if not recovery.get("identical", True):
-        overall.verdict = "hard_fail"
-        overall.reasons.append(
-            "recovered runs diverged from the serial reference"
-        )
-    if overall.verdict == "ok" and recovery.get("fleet_restarts", 0) < 1:
-        overall.verdict = "soft_fail"
-        overall.reasons.append(
-            "no fleet restart observed — the crash fault never fired"
-        )
-    return report
-
-
-# -- adapt comparison -------------------------------------------------------
-
-def compare_adapt_reports(
-    baseline: dict,
-    current: dict,
-    *,
-    baseline_source: str = "baseline",
-    wall_tolerance: float = DEFAULT_WALL_TOLERANCE,
-) -> CompareReport:
-    """Diff two ``repro-bench-adapt`` reports.
-
-    Like the chaos gates, the adaptive contract is absolute, not a
-    drift band: every scenario's adaptive arm must beat both the best
-    static layout and the offline plan, must be bitwise-deterministic
-    across same-seed repeats, and must keep the solution identical
-    across layout modes.  Soft gate: the adaptive arm must actually
-    have replanned at least once (a loop that never fires is
-    indistinguishable from the static baseline it claims to beat).
-    """
-    del baseline, wall_tolerance  # adapt gates are absolute, not drifts
-    report = CompareReport(kind="adapt", baseline_source=baseline_source)
-    scenarios = current.get("scenarios") or []
-    if not scenarios:
-        overall = BenchDelta(name="adaptive_contract", verdict="hard_fail")
-        overall.reasons.append("report contains no scenarios")
-        report.deltas.append(overall)
-        return report
-    for scenario in scenarios:
-        name = str(scenario.get("name", "?"))
-        delta = BenchDelta(name=name, verdict="ok")
-        report.deltas.append(delta)
-        gates = scenario.get("gates") or {}
-        for gate, label in (
-            ("adaptive_beats_static",
-             "adaptive makespan does not beat the best static layout"),
-            ("adaptive_beats_offline",
-             "adaptive makespan does not beat the offline plan"),
-            ("deterministic",
-             "same-seed repeats diverged (solution or decision log)"),
-            ("solutions_identical",
-             "solutions differ across layout modes"),
-        ):
-            if not gates.get(gate, False):
-                delta.verdict = "hard_fail"
-                delta.reasons.append(label)
-        if delta.verdict == "ok" and not gates.get("adaptive_replanned", False):
-            delta.verdict = "soft_fail"
-            delta.reasons.append(
-                "the adaptive arm never redistributed — the feedback "
-                "loop did not fire"
-            )
     return report

@@ -1,6 +1,6 @@
 """Bench trajectory store: append-only JSONL history of bench runs.
 
-``BENCH_PERF.json`` and ``BENCH_SERVE.json`` are *snapshots* — each run
+The ``BENCH_*.json`` reports are *snapshots* — each run
 overwrites the last, so "did this PR make anything slower?" cannot be
 answered from them alone.  The trajectory store keeps every run: one
 JSON line per bench report, stamped with a schema version, the
@@ -10,10 +10,12 @@ entries remain attributable and comparable months later.
 
 The store is deliberately dumb and robust: append-only writes under an
 exclusive lock, reads that skip corrupt lines instead of failing, and
-filters by ``kind`` (``"perf"`` | ``"serve"``) and smoke flag.  The
-regression sentinel (:mod:`repro.obs.compare`) uses it both as a
-baseline source (latest compatible entry) and as the noise model for
-its wall-clock tolerance band.
+filters by ``kind`` (one per bench family: ``"perf"`` | ``"serve"`` |
+``"chaos"`` | ``"adapt"``) and smoke flag.  The regression sentinel
+(:mod:`repro.obs.compare`) uses it both as a baseline source and as
+the noise model for its wall-clock tolerance band; both skip entries
+whose report fails its family's gates.  :func:`record_run` is the
+tail every bench harness shares.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import time
 from hashlib import sha256
 from typing import List, Optional
 
+from .gates import KINDS, GateError, failed_gates
+
 __all__ = [
     "DEFAULT_TRAJECTORY_PATH",
     "TRAJECTORY_SCHEMA",
@@ -34,6 +38,7 @@ __all__ = [
     "env_digest",
     "environment_fingerprint",
     "git_sha",
+    "record_run",
 ]
 
 #: where the CLI appends bench runs unless told otherwise
@@ -41,9 +46,6 @@ DEFAULT_TRAJECTORY_PATH = "BENCH_TRAJECTORY.jsonl"
 
 #: schema stamp on every trajectory entry
 TRAJECTORY_SCHEMA = "repro-trajectory/1"
-
-#: entry kinds the store accepts (one per bench JSON family)
-KINDS = ("perf", "serve", "chaos", "adapt")
 
 _append_lock = threading.Lock()
 
@@ -226,12 +228,15 @@ class TrajectoryStore:
     ) -> List[float]:
         """Historical wall-clock samples for one perf bench.
 
-        Only entries whose bench ``size`` matches (when given) are
-        comparable; ``env_key`` further restricts to one machine class.
+        Only healthy entries (every perf gate passes) whose bench
+        ``size`` matches (when given) are comparable; ``env_key``
+        further restricts to one machine class.
         """
         samples: List[float] = []
         for entry in self.entries(kind="perf", smoke=smoke):
             if env_key is not None and entry.get("env_digest") != env_key:
+                continue
+            if failed_gates("perf", entry["report"]):
                 continue
             for b in entry["report"].get("benches", ()):
                 if b.get("name") != bench:
@@ -267,3 +272,35 @@ class TrajectoryStore:
         mean = sum(samples) / len(samples)
         var = sum((s - mean) ** 2 for s in samples) / len(samples)
         return mean + sigmas * (var**0.5)
+
+
+def record_run(
+    kind: str,
+    report: dict,
+    *,
+    out: str | None = None,
+    trajectory: str | None = None,
+    check: bool = False,
+    quiet: bool = False,
+) -> dict:
+    """The tail every bench harness shares: stamp the report's ``env``,
+    write it to ``out``, append it to the ``trajectory`` JSONL, then
+    with ``check`` raise :class:`~repro.obs.gates.GateError` on any
+    failed gate of the ``kind`` family.  A failed run is still written
+    and appended: baseline selection skips it by the same gates."""
+    report["env"] = environment_fingerprint()
+    if out:
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        if not quiet:
+            print(f"  wrote {out}")
+    if trajectory:
+        entry = TrajectoryStore(trajectory).append(kind, report)
+        if not quiet:
+            print(f"  appended to {trajectory} (env {entry['env_digest']})")
+    if check:
+        failures = failed_gates(kind, report)
+        if failures:
+            raise GateError(kind, failures)
+    return report

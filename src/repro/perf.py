@@ -28,7 +28,6 @@ or import :func:`run_harness` directly.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Callable
 
@@ -328,16 +327,16 @@ def run_harness(
     """Run the perf benches; optionally write JSON and enforce the
     op-count gate.
 
-    ``check=True`` raises ``SystemExit`` if any bench's vectorized op
-    counts / results diverge from its reference — the CI regression
-    gate.  Wall-clock numbers are reported but never asserted (the
-    wall-clock gate lives in the regression sentinel,
-    ``python -m repro bench --compare``).  ``trajectory`` names a JSONL
-    file the report is appended to as one
+    ``check=True`` raises :class:`~repro.obs.gates.GateError` if any
+    bench's vectorized op counts / results diverge from its reference
+    — the CI regression gate.  Wall-clock numbers are reported but
+    never asserted (the wall-clock gate lives in the regression
+    sentinel, ``python -m repro bench --compare``).  ``trajectory``
+    names a JSONL file the report is appended to as one
     :class:`~repro.obs.trajectory.TrajectoryStore` entry, building the
     queryable perf history the sentinel diffs against.
     """
-    from .obs.trajectory import TrajectoryStore, environment_fingerprint
+    from .obs.trajectory import record_run
 
     names = benches if benches is not None else list(BENCHES)
     unknown = [b for b in names if b not in BENCHES]
@@ -354,27 +353,8 @@ def run_harness(
                 f"  speedup {res['speedup']:7.1f}x"
                 f"  ops-match {res['match']}"
             )
-    report = {
-        "schema": PERF_SCHEMA,
-        "smoke": bool(smoke),
-        "env": environment_fingerprint(),
-        "benches": results,
-    }
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-        if not quiet:
-            print(f"  wrote {out}")
-    if trajectory:
-        entry = TrajectoryStore(trajectory).append("perf", report)
-        if not quiet:
-            print(f"  appended to {trajectory} "
-                  f"(env {entry['env_digest']})")
-    if check:
-        bad = [r["name"] for r in results if not r["match"]]
-        if bad:
-            raise SystemExit(
-                f"op-count regression: vectorized path diverged from its "
-                f"reference in {', '.join(bad)}"
-            )
-    return report
+    report = {"schema": PERF_SCHEMA, "smoke": bool(smoke), "benches": results}
+    return record_run(
+        "perf", report, out=out, trajectory=trajectory, check=check,
+        quiet=quiet,
+    )

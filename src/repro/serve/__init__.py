@@ -45,13 +45,12 @@ are exactly the CLI's ``--json`` payloads.
 
 from .cache import ResponseCache, request_fingerprint
 from .http import ServeServer, ServerThread, serve_forever
-from .loadtest import LoadtestError, run_loadtest
+from .loadtest import run_loadtest
 from .pool import SessionPool
 from .service import ENDPOINTS, PlanningService, ServeResponse
 
 __all__ = [
     "ENDPOINTS",
-    "LoadtestError",
     "PlanningService",
     "ResponseCache",
     "ServeResponse",

@@ -24,7 +24,8 @@ Latency p50/p99/mean per phase, cache behaviour (from the
 ``X-Repro-Cache`` response headers *and* the server's ``/stats``), and
 the byte-identity verdict land in ``BENCH_SERVE.json`` next to
 ``BENCH_PERF.json``; ``check=True`` turns the three properties into a
-CI gate.  Run via ``python -m repro serve --loadtest`` or
+CI gate (the ``serve`` gates of :mod:`repro.obs.gates`).  Run via
+``python -m repro serve --loadtest`` or
 ``benchmarks/bench_serve.py``.
 
 **Chaos mode** (``chaos=True`` / ``--chaos``) reruns the same phases
@@ -35,9 +36,9 @@ a worker-crash + transport-delay plan, whose ``solution_sha256`` must
 match a serial run of the same config bit for bit (the fleet restarts
 mid-op and replays from the last barrier).  The report lands in
 ``BENCH_CHAOS.json`` and the ``check`` gate flips to the robustness
-properties: zero byte-identity violations, every 5xx carrying an
-``X-Repro-Incident-Id``, and the recovered runs bitwise-identical
-with at least one fleet restart observed.
+properties (the ``chaos`` row): zero byte-identity violations, zero
+4xx, every 5xx carrying an ``X-Repro-Incident-Id``, and the recovered
+runs bitwise-identical with at least one fleet restart observed.
 """
 
 from __future__ import annotations
@@ -55,18 +56,13 @@ import numpy as np
 from ..api.registry import REGISTRY, WorkloadRegistry
 from ..defaults import DEFAULT_SEED
 
-__all__ = ["run_loadtest", "LoadtestError", "SERVE_SCHEMA", "CHAOS_SCHEMA"]
+__all__ = ["run_loadtest", "SERVE_SCHEMA", "CHAOS_SCHEMA"]
 
 #: schema of the BENCH_SERVE.json document (v2: env provenance stamp)
 SERVE_SCHEMA = "repro-bench-serve/2"
 
 #: schema of the BENCH_CHAOS.json document (chaos-mode load test)
 CHAOS_SCHEMA = "repro-bench-chaos/1"
-
-
-class LoadtestError(SystemExit):
-    """The load test's ``check`` gate failed (zero-failure /
-    byte-identity / hit-rate property violated)."""
 
 
 @dataclass
@@ -84,7 +80,7 @@ class _Observation:
 
 
 #: series the /metrics scrape must contain at least one sample of for
-#: the ``check`` gate to pass (satellite of the observability spine)
+#: the serve ``check`` gate to pass (satellite of the observability spine)
 REQUIRED_SERIES = (
     "repro_http_requests_total",
     "repro_http_request_seconds_bucket",
@@ -382,11 +378,12 @@ def run_loadtest(
     around a fresh :class:`~repro.serve.PlanningService` and tears it
     down afterwards; otherwise the running server at ``url`` is
     tested (its caches are *not* cleared — hit rates then reflect its
-    real state).  ``check=True`` raises :class:`LoadtestError` unless
-    all three serving properties hold *and* the final ``/metrics``
-    scrape contains samples for every series in :data:`REQUIRED_SERIES`.
-    The raw Prometheus exposition is written to ``metrics_out`` (the
-    snapshot artifact CI uploads next to ``BENCH_SERVE.json``), and
+    real state).  ``check=True`` raises
+    :class:`~repro.obs.gates.GateError` unless all three serving
+    properties hold *and* the final ``/metrics`` scrape contains
+    samples for every series in :data:`REQUIRED_SERIES`.  The raw
+    Prometheus exposition is written to ``metrics_out`` (the snapshot
+    artifact CI uploads next to ``BENCH_SERVE.json``), and
     ``trajectory`` names a JSONL file the report is appended to as one
     :class:`~repro.obs.trajectory.TrajectoryStore` entry (kind
     ``"serve"``, or ``"chaos"`` in chaos mode) for the regression
@@ -397,9 +394,11 @@ def run_loadtest(
     lives in this process), injects request-level faults during both
     phases, and appends a *recovery* phase exercising worker-crash
     fleet restarts; the ``check`` gate then asserts the robustness
-    properties instead of the steady-state ones (see module docstring).
+    properties instead of the steady-state ones (see module docstring),
+    and the default artifacts move aside (``BENCH_CHAOS.json``, no
+    ``METRICS_SERVE.prom``) so the steady-state ones survive.
     """
-    from ..obs.trajectory import TrajectoryStore, environment_fingerprint
+    from ..obs.trajectory import record_run
 
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
@@ -411,6 +410,11 @@ def run_loadtest(
             "fault plan is activated in this process and cannot reach "
             "a remote one"
         )
+    if chaos:
+        if out == "BENCH_SERVE.json":
+            out = "BENCH_CHAOS.json"
+        if metrics_out == "METRICS_SERVE.prom":
+            metrics_out = None
     registry = registry if registry is not None else REGISTRY
     items = _request_set(registry, workloads, smoke)
 
@@ -514,7 +518,6 @@ def run_loadtest(
     report = {
         "schema": CHAOS_SCHEMA if chaos else SERVE_SCHEMA,
         "smoke": bool(smoke),
-        "env": environment_fingerprint(),
         "base_url": base_url,
         "in_process_server": started_server is not None,
         "clients": clients,
@@ -549,6 +552,9 @@ def run_loadtest(
             "recovery_fault_plan": recovery_plan.to_json(),
             "injected_failures": injected_failures,
             "uncovered_5xx": len(uncovered),
+            "client_errors": sum(
+                1 for o in observations if 400 <= o.status < 500
+            ),
             "recovery": recovery,
         }
 
@@ -572,92 +578,12 @@ def run_loadtest(
                 f"recovery identical: {c['recovery']['identical']}"
             )
 
-    if chaos and out == "BENCH_SERVE.json":
-        out = "BENCH_CHAOS.json"  # never clobber the steady-state bench
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-        if not quiet:
-            print(f"  wrote {out}")
     if metrics_out and metrics.get("text"):
         with open(metrics_out, "w") as fh:
             fh.write(metrics["text"])
         if not quiet:
             print(f"  wrote {metrics_out}")
-    if trajectory:
-        entry = TrajectoryStore(trajectory).append(
-            "chaos" if chaos else "serve", report
-        )
-        if not quiet:
-            print(f"  appended to {trajectory} (env {entry['env_digest']})")
-
-    if check and chaos:
-        problems = []
-        if not report["byte_identical"]:
-            problems.append(
-                f"non-identical responses for identical requests under "
-                f"chaos: {divergent[:2]}"
-            )
-        if report["chaos"]["uncovered_5xx"]:
-            problems.append(
-                f"{report['chaos']['uncovered_5xx']} 5xx response(s) "
-                f"without an X-Repro-Incident-Id header"
-            )
-        client_errors = sum(
-            1 for o in observations if 400 <= o.status < 500
-        )
-        if client_errors:
-            problems.append(
-                f"{client_errors} 4xx response(s) — injected faults must "
-                f"not surface as client errors"
-            )
-        rec = report["chaos"]["recovery"]
-        if rec["failures"]:
-            problems.append(
-                f"{rec['failures']} recovery-phase request(s) failed"
-            )
-        if not rec["identical"]:
-            problems.append(
-                "recovered multiprocess runs are not bitwise-identical "
-                "to the serial reference"
-            )
-        if rec["fleet_restarts"] < 1:
-            problems.append(
-                "no fleet restart observed — the crash fault never fired"
-            )
-        if not metrics["scraped"]:
-            problems.append(f"/metrics scrape failed: {metrics['error']}")
-        if problems:
-            raise LoadtestError(
-                "chaos load test failed: " + "; ".join(problems)
-            )
-        return report
-
-    if check:
-        problems = []
-        if report["total_failures"]:
-            problems.append(f"{report['total_failures']} failed request(s)")
-        if not report["byte_identical"]:
-            problems.append(
-                f"non-identical responses for identical requests: "
-                f"{divergent[:2]}"
-            )
-        repeated_rate = phases[1]["cache_hit_rate"]
-        if repeated_rate is None or repeated_rate <= 0.5:
-            problems.append(
-                f"repeated-config cache hit rate "
-                f"{'n/a' if repeated_rate is None else f'{repeated_rate:.0%}'} "
-                f"(need > 50%)"
-            )
-        if not metrics["scraped"]:
-            problems.append(f"/metrics scrape failed: {metrics['error']}")
-        elif metrics["missing_series"]:
-            problems.append(
-                "required metric series missing samples: "
-                + ", ".join(metrics["missing_series"])
-            )
-        if problems:
-            raise LoadtestError(
-                "serve load test failed: " + "; ".join(problems)
-            )
-    return report
+    return record_run(
+        "chaos" if chaos else "serve", report, out=out,
+        trajectory=trajectory, check=check, quiet=quiet,
+    )

@@ -110,12 +110,13 @@ class ProcClock:
         to ``end`` — the receiving endpoint of a blocking send, whose
         completion is coupled to the sender (``end`` may exceed the
         local clock plus ``duration``)."""
-        if end - duration > self.time:
+        # ``end - duration`` can round an ulp below the local clock; an
+        # interval must not start before the previous one ended
+        start = max(self.time, end - duration)
+        if start > self.time:
             # the gap before the transfer engaged this endpoint
-            self.intervals.append(
-                Interval(self.time, end - duration, "wait", tag, pred)
-            )
-        self.intervals.append(Interval(end - duration, end, kind, tag, pred))
+            self.intervals.append(Interval(self.time, start, "wait", tag, pred))
+        self.intervals.append(Interval(start, end, kind, tag, pred))
         self.time = end
         return (self.rank, len(self.intervals) - 1)
 

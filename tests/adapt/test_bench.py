@@ -7,7 +7,7 @@ import pytest
 
 from repro.adapt import run_adapt_bench
 from repro.adapt.bench import ADAPT_SCHEMA, SMOKE_SCENARIOS
-from repro.obs import TrajectoryStore, compare_adapt_reports
+from repro.obs import TrajectoryStore, compare_reports
 from repro.obs.compare import EXIT_HARD, EXIT_SOFT, resolve_baseline
 
 
@@ -66,7 +66,7 @@ def test_resolve_baseline_prefers_the_trajectory(smoke_report):
 
 def test_compare_adapt_clean_on_a_passing_report(smoke_report):
     report, _, _, _ = smoke_report
-    comparison = compare_adapt_reports(report, report)
+    comparison = compare_reports("adapt", report, report)
     assert comparison.exit_code == 0
     assert "VERDICT: clean" in comparison.summary()
 
@@ -75,7 +75,7 @@ def test_compare_adapt_hard_fails_on_a_doctored_gate(smoke_report):
     report, _, _, _ = smoke_report
     doctored = copy.deepcopy(report)
     doctored["scenarios"][0]["gates"]["adaptive_beats_offline"] = False
-    comparison = compare_adapt_reports(report, doctored)
+    comparison = compare_reports("adapt", report, doctored)
     assert comparison.exit_code == EXIT_HARD
     assert "offline" in comparison.summary()
 
@@ -85,13 +85,13 @@ def test_compare_adapt_soft_fails_when_the_loop_never_fired(smoke_report):
     doctored = copy.deepcopy(report)
     for scenario in doctored["scenarios"]:
         scenario["gates"]["adaptive_replanned"] = False
-    comparison = compare_adapt_reports(report, doctored)
+    comparison = compare_reports("adapt", report, doctored)
     assert comparison.exit_code == EXIT_SOFT
 
 
 def test_compare_adapt_hard_fails_on_an_empty_report(smoke_report):
     report, _, _, _ = smoke_report
-    comparison = compare_adapt_reports(report, {"scenarios": []})
+    comparison = compare_reports("adapt", report, {"scenarios": []})
     assert comparison.exit_code == EXIT_HARD
 
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.serve import LoadtestError, run_loadtest
+from repro.obs import GateError
+from repro.serve import run_loadtest
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +71,7 @@ def test_check_gate_raises_on_violation(monkeypatch):
             raise RuntimeError("boom")
 
     with ServerThread(Broken()) as url:
-        with pytest.raises(LoadtestError, match="failed request"):
+        with pytest.raises(GateError, match="failed request"):
             run_loadtest(url=url, clients=2, rounds=1, smoke=True,
                          out=None, check=True, quiet=True)
 

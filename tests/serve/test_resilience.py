@@ -15,7 +15,7 @@ import pytest
 from repro.backend import BackendError
 from repro.faults import FaultPlan, RequestFault, deactivate, injected
 from repro.faults.breaker import CLOSED, OPEN
-from repro.obs import compare_chaos_reports, flight_recorder
+from repro.obs import compare_reports, flight_recorder
 from repro.serve import PlanningService, run_loadtest
 from repro.serve.http import ServerThread
 from repro.serve.loadtest import CHAOS_SCHEMA
@@ -224,11 +224,12 @@ class TestChaosLoadtest:
         chaos = report["chaos"]
         assert chaos["injected_failures"] >= 1
         assert chaos["uncovered_5xx"] == 0
+        assert chaos["client_errors"] == 0
         assert chaos["recovery"]["identical"]
         assert chaos["recovery"]["fleet_restarts"] >= 1
         assert not chaos["recovery"]["failures"]
         # the sentinel accepts its own artifact
-        verdict = compare_chaos_reports(report, report)
+        verdict = compare_reports("chaos", report, report)
         assert verdict.ok
 
 
@@ -253,24 +254,30 @@ class TestChaosSentinel:
         return base
 
     def test_clean_report_passes(self):
-        assert compare_chaos_reports(self._report(), self._report()).ok
+        assert compare_reports("chaos", self._report(), self._report()).ok
 
     def test_byte_divergence_is_a_hard_failure(self):
         bad = self._report(byte_identical=False)
-        verdict = compare_chaos_reports(self._report(), bad)
+        verdict = compare_reports("chaos", self._report(), bad)
         assert verdict.hard_failures
 
     def test_uncovered_5xx_is_a_hard_failure(self):
         bad = self._report(**{"chaos.uncovered_5xx": 3})
-        assert compare_chaos_reports(self._report(), bad).hard_failures
+        assert compare_reports("chaos", self._report(), bad).hard_failures
 
     def test_recovery_divergence_is_a_hard_failure(self):
         bad = self._report(**{"chaos.recovery.identical": False})
-        assert compare_chaos_reports(self._report(), bad).hard_failures
+        assert compare_reports("chaos", self._report(), bad).hard_failures
+
+    def test_client_error_is_a_hard_failure(self):
+        bad = self._report(**{"chaos.client_errors": 1})
+        verdict = compare_reports("chaos", self._report(), bad)
+        assert verdict.hard_failures
+        assert "4xx" in verdict.summary()
 
     def test_no_restart_is_a_soft_failure(self):
         meh = self._report(**{"chaos.recovery.fleet_restarts": 0})
-        verdict = compare_chaos_reports(self._report(), meh)
+        verdict = compare_reports("chaos", self._report(), meh)
         assert not verdict.hard_failures
         assert verdict.soft_failures
 

@@ -160,13 +160,18 @@ def test_serve_loadtest_json_roundtrip(tmp_path, capsys):
     assert "repro_http_request_seconds_bucket" in scrape
 
 
-def test_serve_check_gate_fails_loudly(tmp_path):
+def test_serve_check_gate_fails_loudly(tmp_path, capsys):
     # an unreachable --url means every request fails: --check must exit
     # non-zero (this is the CI contract of the serve smoke step)
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["serve", "--url", "http://127.0.0.1:9", "--clients", "1",
               "--rounds", "1", "--smoke", "--check", "--out", "",
               "--metrics-out", "", "--trajectory", ""])
+    # exit 2, and stderr names every failed gate
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "serve bench gate failed" in err
+    assert "[zero_failures]" in err and "[metrics_scraped]" in err
 
 
 def test_obs_command_prometheus_text(capsys):
